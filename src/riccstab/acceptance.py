@@ -25,7 +25,7 @@ from .classes import (
     structured_condition,
 )
 from .ddesim import decay_check, simulate
-from .matcore import BlockSymmetric, sym_spectrum
+from .matcore import BlockSymmetric, spectral_abscissa, sym_spectrum
 from .pmatrix import dpd_conjugate, is_p_matrix
 from .riccati import MatrixPair, Verdict, solve_diagonal
 from .transforms import ScalingPair, dad_transform, hadamard_congruence
@@ -81,10 +81,6 @@ class WitnessLog:
         return sum(1 for v in self.statuses.values() if len(v) > 1)
 
 
-def _spectral_abscissa(m: np.ndarray) -> float:
-    return float(np.max(np.linalg.eigvals(m).real))
-
-
 def _metzler_pair(rng, n: int) -> MatrixPair:
     """Metzler A with nonnegative B, entries in [-3, 3], coupling strength
     drawn per instance so both verdicts occur."""
@@ -130,7 +126,7 @@ def positive_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     mismatches = 0
     while kept < cases:
         pair = _metzler_pair(rng, int(rng.integers(2, 6)))
-        mu = _spectral_abscissa(pair.a + pair.b)
+        mu = spectral_abscissa(pair.a + pair.b)
         if abs(mu) < MARGIN_FILTER:
             continue
         kept += 1

@@ -2,8 +2,11 @@
 
 For several sign-structured families, diagonal Riccati feasibility reduces to
 a scalar or Hurwitz test. Detection is purely structural (exact zeros, sign
-constraints); every strict inequality carries a Marginal band of 1e-9 so
-boundary instances are reported as such instead of being guessed at.
+constraints). The Hurwitz classes decide from the spectral abscissa of the
+Metzler comparison matrix, the value each verdict reports, banded relative
+to the matrix entries; the 3x3 feedback margins carry an absolute band of
+1e-9. Boundary instances are reported as Marginal instead of being guessed
+at.
 """
 
 from __future__ import annotations
@@ -14,7 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatchError, ContractError
-from .matcore import HurwitzResult, is_hurwitz, is_metzler, is_nonnegative, sign_envelopes
+from .matcore import (
+    HurwitzResult,
+    hurwitz_band,
+    is_metzler,
+    is_nonnegative,
+    sign_envelopes,
+    spectral_abscissa,
+)
 from .riccati import MatrixPair
 
 MARGINAL_BAND = 1e-9
@@ -287,9 +297,9 @@ def classify(pair: MatrixPair) -> ClassTag:
 
 
 def _hurwitz_verdict(tag: ClassTag, m: np.ndarray) -> ClassVerdict:
-    result = is_hurwitz(m)
-    abscissa = float(np.max(np.linalg.eigvals(m).real))
-    return ClassVerdict(tag, _HURWITZ_TO_STABILITY[result], {"spectral_abscissa": abscissa})
+    abscissa = spectral_abscissa(m)
+    stable = _HURWITZ_TO_STABILITY[hurwitz_band(abscissa, m)]
+    return ClassVerdict(tag, stable, {"spectral_abscissa": abscissa})
 
 
 def metzler_nonneg_condition(pair: MatrixPair) -> ClassVerdict:

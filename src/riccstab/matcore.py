@@ -2,9 +2,10 @@
 
 Everything downstream leans on this module: entrywise (Hadamard) products,
 sign envelopes, the cyclic Jacobi eigensolver for symmetric matrices, and a
-Routh-Hurwitz based tri-state Hurwitz test driven by a Faddeev-LeVerrier
-characteristic polynomial. Matrices are dense, row-major numpy arrays of
-float64. All functions are pure; inputs are never mutated.
+tri-state Hurwitz test that bands the spectral abscissa (from LAPACK
+eigenvalues) relative to the size of the entries. Matrices are dense,
+row-major numpy arrays of float64. All functions are pure; inputs are never
+mutated.
 """
 
 from __future__ import annotations
@@ -231,70 +232,35 @@ def is_negative_definite(m, tol: float = DEFINITENESS_TOL) -> bool:
     return sym_spectrum(m).abscissa < -tol
 
 
-def char_poly(a) -> np.ndarray:
-    """Monic characteristic polynomial coefficients via Faddeev-LeVerrier.
-
-    Returns [1, c1, ..., cn] with det(lambda I - A) = lambda^n + c1 lambda^(n-1) + ... + cn.
-    """
-    m = as_square(a)
-    n = m.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    work = np.eye(n)
-    for k in range(1, n + 1):
-        work = m @ work
-        ck = -np.trace(work) / k
-        coeffs[k] = ck
-        work = work + ck * np.eye(n)
-    return coeffs
-
-
 class HurwitzResult(str, enum.Enum):
     HURWITZ = "Hurwitz"
     NOT_HURWITZ = "NotHurwitz"
     MARGINAL = "Marginal"
 
 
-def hurwitz_pivots(a, margin: float = HURWITZ_MARGIN) -> tuple[HurwitzResult, list[float]]:
-    """Routh-Hurwitz table decision with the first-column pivots.
+def spectral_abscissa(a) -> float:
+    """Largest real part over the eigenvalues of a square matrix."""
+    return float(np.max(np.linalg.eigvals(as_square(a)).real))
 
-    The table is built from the Faddeev-LeVerrier characteristic polynomial.
-    A pivot within `margin` (scaled by the magnitude of its source rows) of
-    zero stops the recursion with a Marginal verdict; no epsilon perturbation
-    is attempted. A clearly negative first-column entry gives NotHurwitz.
+
+def hurwitz_band(mu: float, a, margin: float = HURWITZ_MARGIN) -> HurwitzResult:
+    """Tri-state verdict from the spectral abscissa mu of a.
+
+    Marginal when |mu| <= margin * max|a_ij|. The band is relative to the
+    entries with no absolute floor, so c * a gets the verdict of a for every
+    c > 0.
     """
-    coeffs = char_poly(a)
-    n = len(coeffs) - 1
-    first_col: list[float] = [1.0]
-    if n == 0:
-        return HurwitzResult.HURWITZ, first_col
-
-    row_prev = np.array(coeffs[0::2], dtype=float)
-    row_cur = np.array(coeffs[1::2], dtype=float)
-    if row_cur.size < row_prev.size:
-        row_cur = np.append(row_cur, 0.0)
-
-    while True:
-        scale = max(1.0, float(np.abs(row_prev).max()), float(np.abs(row_cur).max()))
-        pivot = float(row_cur[0])
-        if abs(pivot) <= margin * scale:
-            return HurwitzResult.MARGINAL, first_col
-        first_col.append(pivot)
-        if pivot < 0.0:
-            return HurwitzResult.NOT_HURWITZ, first_col
-        if len(first_col) == n + 1:
-            return HurwitzResult.HURWITZ, first_col
-        nxt = (row_cur[0] * row_prev[1:] - row_prev[0] * row_cur[1:]) / row_cur[0]
-        nxt = np.append(nxt, 0.0)
-        row_prev = row_cur
-        row_cur = nxt
+    if abs(mu) <= margin * float(np.abs(a).max()):
+        return HurwitzResult.MARGINAL
+    return HurwitzResult.HURWITZ if mu < 0.0 else HurwitzResult.NOT_HURWITZ
 
 
 def is_hurwitz(a, margin: float = HURWITZ_MARGIN) -> HurwitzResult:
     """Tri-state Hurwitz test: Hurwitz, NotHurwitz, or Marginal.
 
-    Marginal means some Routh pivot sits within the margin band of zero, so
-    the spectrum is too close to the imaginary axis to call either way.
+    Marginal means the spectral abscissa lies within the relative margin
+    band of zero, so the spectrum is too close to the imaginary axis to call
+    either way.
     """
-    result, _ = hurwitz_pivots(a, margin)
-    return result
+    m = as_square(a)
+    return hurwitz_band(spectral_abscissa(m), m, margin)

@@ -26,10 +26,12 @@ from .matcore import BlockSymmetric, as_positive_vector, as_square, sym_spectrum
 from .pmatrix import PMatrixReport, _minor, is_p_matrix
 
 DEFAULT_TOL = 1e-7
-DEFAULT_STARTS = 8
+STARTS = 8
 DEFAULT_MAX_ITER = 5000
-DEFAULT_XATOL = 1e-12
+SIMPLEX_ATOL = 1e-12
 DEFAULT_SAMPLES = 64
+LOG_BOX = 2.0
+POLISH_ITERS = 150
 WITNESS_PSD_TOL = 1e-10
 SIGN_ENUM_MAX_N = 6
 SCHUR_SIGN_TOL = 1e-9
@@ -147,13 +149,8 @@ class SolveOptions:
 
     tol: float = DEFAULT_TOL
     seed: int = 0
-    starts: int = DEFAULT_STARTS
     max_iter: int = DEFAULT_MAX_ITER
-    xatol: float = DEFAULT_XATOL
-    fatol: float = DEFAULT_XATOL
     samples: int = DEFAULT_SAMPLES
-    log_box: float = 2.0
-    polish_iters: int = 150
 
     def stop_value(self) -> float:
         """Objective level at which the search may stop early: clearly feasible."""
@@ -271,8 +268,8 @@ def _simplex_descent(pair: MatrixPair, x0: np.ndarray, opts: SolveOptions) -> np
             options={
                 "maxiter": opts.max_iter,
                 "maxfev": 2 * opts.max_iter,
-                "xatol": opts.xatol,
-                "fatol": opts.fatol,
+                "xatol": SIMPLEX_ATOL,
+                "fatol": SIMPLEX_ATOL,
             },
         )
     except StopIteration:
@@ -298,7 +295,7 @@ def _polish(
     best_x = x.copy()
     best_lam = _lmax(pair, p, q)
     stop = opts.stop_value()
-    for _ in range(opts.polish_iters):
+    for _ in range(POLISH_ITERS):
         if best_lam <= stop:
             break
         full = _block_full(a, b, x[:n], x[n:])
@@ -446,8 +443,8 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     rng = np.random.default_rng(opts.seed)
     dim = 2 * n
     start_points = [np.zeros(dim)]
-    for _ in range(max(0, opts.starts - 1)):
-        start_points.append(rng.uniform(-opts.log_box, opts.log_box, dim))
+    for _ in range(STARTS - 1):
+        start_points.append(rng.uniform(-LOG_BOX, LOG_BOX, dim))
 
     best_lam = np.inf
     for x0 in start_points:

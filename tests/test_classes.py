@@ -91,6 +91,18 @@ def test_metzler_condition_examples():
     assert unstable.condition_values["spectral_abscissa"] == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("n", [8, 12, 16, 50])
+@pytest.mark.parametrize("shift, expected", [(1.25, Stability.STABLE), (0.8, Stability.NOT_STABLE)])
+def test_metzler_class_verdict_is_scale_invariant(shift, expected, n, c):
+    # abscissa (1 - shift) * n: a fifth of the diagonal or more away from
+    # zero, so every positive multiple must get the same decided verdict
+    a = c * (np.ones((n, n)) - shift * n * np.eye(n))
+    verdict = evaluate_class(MatrixPair(a, np.zeros((n, n))))
+    assert verdict.stable is expected
+    assert verdict.condition_values["spectral_abscissa"] == pytest.approx(c * (1.0 - shift) * n, rel=1e-9)
+
+
 def test_structured_rank_one_row_example():
     pair = MatrixPair(np.diag([-2.0, -2.0]), [[1.0, -1.0], [0.0, 0.0]])
     verdict = structured_condition(pair)
