@@ -2,13 +2,15 @@
 
 A real square matrix is a P-matrix when every principal minor is strictly
 positive. Minors are enumerated by subset size, then lexicographically, and
-evaluated by LU factorization with partial pivoting. The enumeration is
-exponential, so inputs are capped at n = 14.
+evaluated in stacks of up to MINOR_CHUNK submatrices, one call per stack:
+closed forms for sizes 1 and 2, LU factorization with partial pivoting above.
+The enumeration is exponential, so inputs are capped at n = 14.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -18,6 +20,7 @@ from .matcore import as_positive_vector, as_square
 
 MAX_P_SIZE = 14
 MINOR_BAND = 1e-12
+MINOR_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -37,18 +40,23 @@ class PMatrixReport:
     marginal: bool = False
 
 
-def _minor(sub: np.ndarray) -> float:
-    k = sub.shape[0]
+@lru_cache(maxsize=None)
+def _subset_chunks(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """The k-subsets of range(n) in lexicographic order, MINOR_CHUNK rows per array."""
+    table = np.array(list(combinations(range(n), k)), dtype=np.int8)
+    table.flags.writeable = False
+    return tuple(table[i : i + MINOR_CHUNK] for i in range(0, len(table), MINOR_CHUNK))
+
+
+def stacked_minors(stack: np.ndarray) -> np.ndarray:
+    """Determinants of a (..., k, k) stack: closed forms for k <= 2, else one
+    np.linalg.det call, which gives each matrix the value it would get alone."""
+    k = stack.shape[-1]
     if k == 1:
-        return float(sub[0, 0])
+        return stack[..., 0, 0]
     if k == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    return float(np.linalg.det(sub))
-
-
-def _scale(sub: np.ndarray) -> float:
-    row_max = np.abs(sub).max(axis=1)
-    return float(max(1.0, np.prod(row_max)))
+        return stack[..., 0, 0] * stack[..., 1, 1] - stack[..., 0, 1] * stack[..., 1, 0]
+    return np.linalg.det(stack)
 
 
 def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
@@ -65,16 +73,14 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     if n > MAX_P_SIZE:
         raise SizeGuardError(f"P-matrix enumeration capped at n={MAX_P_SIZE}, got {n}")
     for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            sub = a[np.ix_(subset, subset)]
-            minor = _minor(sub)
-            if minor <= band * _scale(sub):
-                return PMatrixReport(
-                    is_p=False,
-                    failing_subset=subset,
-                    failing_minor=minor,
-                    marginal=minor > 0.0,
-                )
+        for subsets in _subset_chunks(n, size):
+            subs = a[subsets[:, :, None], subsets[:, None, :]]
+            minors = stacked_minors(subs)
+            limit = band * np.abs(subs).max(axis=2).prod(axis=1) if band else 0.0
+            failing = np.flatnonzero(minors <= limit)
+            if failing.size:
+                subset, minor = tuple(subsets[failing[0]].tolist()), float(minors[failing[0]])
+                return PMatrixReport(False, subset, minor, marginal=minor > 0.0)
     return PMatrixReport(is_p=True)
 
 

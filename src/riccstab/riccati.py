@@ -23,7 +23,7 @@ from scipy.optimize import minimize
 
 from .errors import ContractError, NumericError
 from .matcore import BlockSymmetric, as_positive_vector, as_square, sym_spectrum
-from .pmatrix import PMatrixReport, _minor, is_p_matrix
+from .pmatrix import PMatrixReport, is_p_matrix, stacked_minors
 
 DEFAULT_TOL = 1e-7
 STARTS = 8
@@ -334,8 +334,9 @@ def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
 
     Works subset by subset: the principal minor of -(A o dd' + B o de') on
     index set alpha depends only on the signs restricted to alpha, and equals
-    (-1)^k det(D_a) det(A_a D_a + B_a E_a). Returns the full sign matrix of
-    the first violation (subsets by size then lexicographic, sign patterns in
+    (-1)^k det(D_a) det(A_a D_a + B_a E_a), evaluated for all subsets and sign
+    patterns of one size as one stack. Returns the full sign matrix of the
+    first violation (subsets by size then lexicographic, sign patterns in
     binary counter order) and the number of candidates examined.
     """
     n = pair.n
@@ -345,27 +346,20 @@ def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
     tried = 0
     for size in range(1, n + 1):
         parity = -1.0 if size % 2 else 1.0
-        sign_tuples = list(product((1.0, -1.0), repeat=size))
-        d_tuples = [t for t in sign_tuples if t[0] == 1.0]  # global flip is redundant
-        for subset in combinations(range(n), size):
-            ix = np.ix_(subset, subset)
-            asub = a[ix]
-            bsub = b[ix]
-            for dt in d_tuples:
-                d = np.asarray(dt)
-                ad = asub * d[None, :]
-                dprod = float(np.prod(d))
-                for et in sign_tuples:
-                    e = np.asarray(et)
-                    tried += 1
-                    minor = parity * dprod * _minor(ad + bsub * e[None, :])
-                    if minor <= 0.0:
-                        d_full = np.ones(n)
-                        e_full = np.ones(n)
-                        d_full[list(subset)] = d
-                        e_full[list(subset)] = e
-                        s_vec = np.concatenate([d_full, e_full])
-                        return np.outer(s_vec, s_vec), tried
+        e = np.array(list(product((1.0, -1.0), repeat=size)))
+        d = e[: e.shape[0] // 2]  # leading sign +1: the global flip is redundant
+        subsets = np.array(list(combinations(range(n), size)))
+        rows, cols = subsets[:, None, None, :, None], subsets[:, None, None, None, :]
+        stack = a[rows, cols] * d[:, None, None, :] + b[rows, cols] * e[:, None, :]
+        minors = (parity * d.prod(axis=1))[:, None] * stacked_minors(stack)
+        hits = np.flatnonzero(minors <= 0.0)
+        if hits.size:
+            si, di, ei = np.unravel_index(hits[0], minors.shape)
+            s_vec = np.ones(2 * n)
+            s_vec[subsets[si]] = d[di]
+            s_vec[n + subsets[si]] = e[ei]
+            return np.outer(s_vec, s_vec), tried + int(hits[0]) + 1
+        tried += minors.size
     return None, tried
 
 

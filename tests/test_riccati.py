@@ -1,20 +1,75 @@
 """Certifying solver: block form, certificate verification, refutation."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
 from riccstab.errors import ContractError
 from riccstab.matcore import sym_spectrum
 from riccstab.riccati import (
+    SIGN_ENUM_MAX_N,
     MatrixPair,
     SolveOptions,
     Verdict,
+    _sign_witness_search,
     block_lmi,
     refute_by_sampling,
     riccati_form,
     solve_diagonal,
     verify_certificate,
 )
+
+
+def reference_sign_witness_search(pair: MatrixPair):
+    """The nested loop the stacked enumeration replaced: one minor per
+    (subset, d, e), subsets by size then lexicographic, signs in binary
+    counter order."""
+    n = pair.n
+    a, b = pair.a, pair.b
+    tried = 0
+    for size in range(1, n + 1):
+        parity = -1.0 if size % 2 else 1.0
+        sign_tuples = list(product((1.0, -1.0), repeat=size))
+        d_tuples = [t for t in sign_tuples if t[0] == 1.0]
+        for subset in combinations(range(n), size):
+            ix = np.ix_(subset, subset)
+            asub = a[ix]
+            bsub = b[ix]
+            for dt in d_tuples:
+                d = np.asarray(dt)
+                ad = asub * d[None, :]
+                dprod = float(np.prod(d))
+                for et in sign_tuples:
+                    e = np.asarray(et)
+                    tried += 1
+                    sub = ad + bsub * e[None, :]
+                    if size == 1:
+                        minor = float(sub[0, 0])
+                    elif size == 2:
+                        minor = float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
+                    else:
+                        minor = float(np.linalg.det(sub))
+                    if parity * dprod * minor <= 0.0:
+                        d_full = np.ones(n)
+                        e_full = np.ones(n)
+                        d_full[list(subset)] = d
+                        e_full[list(subset)] = e
+                        s_vec = np.concatenate([d_full, e_full])
+                        return np.outer(s_vec, s_vec), tried
+    return None, tried
+
+
+def _sign_search_pairs(rng, n):
+    """Pairs with and without rank-one sign witnesses, integer ones included;
+    the growing coupling t moves the first violation through the enumeration."""
+    eye = np.eye(n)
+    yield MatrixPair(-2.0 * eye, np.full((n, n), 1.9 / n))
+    yield MatrixPair(np.round(rng.standard_normal((n, n))) - 2.0 * eye, np.round(rng.standard_normal((n, n))))
+    for t in (0.2, 0.6, 0.9, 1.1, 1.4, 2.0):
+        a = -eye + 0.3 * rng.standard_normal((n, n))
+        b = rng.standard_normal((n, n))
+        yield MatrixPair(a, t * b / np.linalg.norm(b, 2))
 
 
 def test_block_lmi_scalar_example():
@@ -140,3 +195,31 @@ def test_solver_deterministic_for_fixed_seed():
     first = solve_diagonal(pair, opts)
     second = solve_diagonal(pair, opts)
     assert first.to_json() == second.to_json()
+
+
+@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+def test_stacked_sign_search_matches_nested_reference(n):
+    rng = np.random.default_rng(200 + n)
+    for pair in _sign_search_pairs(rng, n):
+        s, tried = _sign_witness_search(pair)
+        s_ref, tried_ref = reference_sign_witness_search(pair)
+        assert tried == tried_ref
+        if s_ref is None:
+            assert s is None
+        else:
+            assert np.array_equal(s, s_ref)
+
+
+def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
+    calls = []
+    det = np.linalg.det
+
+    def counting_det(stack):
+        calls.append(stack.shape)
+        return det(stack)
+
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    n = SIGN_ENUM_MAX_N
+    s, _ = _sign_witness_search(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
+    assert s is None
+    assert 0 < len(calls) <= 2**n - 1
