@@ -43,7 +43,6 @@ from .matcore import (
     is_hurwitz,
     is_metzler,
     is_nonnegative,
-    jacobi_eigh,
     sym_spectrum,
 )
 from .pmatrix import PMatrixReport, dpd_conjugate, is_p_matrix, p_sign_witness
@@ -107,7 +106,6 @@ __all__ = [
     "is_metzler",
     "is_nonnegative",
     "is_p_matrix",
-    "jacobi_eigh",
     "lk_functional",
     "metzler_nonneg_condition",
     "normalize_correlation",

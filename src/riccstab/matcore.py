@@ -1,25 +1,24 @@
-"""Dense matrix utilities and the two eigenvalue engines.
+"""Dense matrix utilities, symmetric spectra and a definiteness proof.
 
 Everything downstream leans on this module: entrywise (Hadamard) products,
-sign envelopes, the cyclic Jacobi eigensolver for symmetric matrices, and a
-tri-state Hurwitz test that bands the spectral abscissa (from LAPACK
-eigenvalues) relative to the size of the entries. Matrices are dense,
-row-major numpy arrays of float64. All functions are pure; inputs are never
-mutated.
+sign envelopes, LAPACK spectra of symmetric matrices, a rounding-safe
+Cholesky proof of negative definiteness that holds however accurate the
+eigenvalues are, and a tri-state Hurwitz test that bands the spectral
+abscissa relative to the size of the entries. Matrices are dense,
+row-major numpy arrays of float64. All functions are pure.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, DimensionError
 
-JACOBI_MAX_SWEEPS = 50
-JACOBI_OFF_TOL = 1e-12
 DEFINITENESS_TOL = 1e-10
 HURWITZ_MARGIN = 1e-9
 SYMMETRY_RTOL = 1e-10
@@ -106,7 +105,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     abscissa: float
-    sweeps: int = 0
 
     def min(self) -> float:
         return float(self.eigenvalues[0])
@@ -163,65 +161,48 @@ def _require_symmetric(m) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def jacobi_eigh(m) -> tuple[np.ndarray, np.ndarray, int]:
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns, sweeps used).
-    Sweeps rows cyclically; converges when the off-diagonal Frobenius norm
-    drops below JACOBI_OFF_TOL times the Frobenius norm of the input. Raises
-    NumericError if that has not happened after JACOBI_MAX_SWEEPS sweeps.
-    """
-    a = _require_symmetric(m).copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    fro = float(np.linalg.norm(a))
-    if n == 1 or fro == 0.0:
-        return np.diag(a).copy(), v, 0
-
-    target = JACOBI_OFF_TOL * fro
-    # pivots this small cannot lift the off norm above target even if every
-    # off-diagonal entry sat at the threshold, so rotating on them is wasted
-    # work (and risks overflow in the theta quotient)
-    skip = target / (2.0 * n)
-    iu = np.triu_indices(n, 1)
-    for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
-        off = float(np.sqrt(2.0 * np.sum(a[iu] ** 2)))
-        if off <= target:
-            w = np.diag(a).copy()
-            order = np.argsort(w, kind="stable")
-            return w[order], v[:, order], sweep - 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0.0 else 1.0
-                t = t / (abs(theta) + np.hypot(theta, 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # columns, then rows: A <- J^T A J with the (p,q) rotation
-                ap = a[:, p].copy()
-                aq = a[:, q].copy()
-                a[:, p] = c * ap - s * aq
-                a[:, q] = s * ap + c * aq
-                ap = a[p, :].copy()
-                aq = a[q, :].copy()
-                a[p, :] = c * ap - s * aq
-                a[q, :] = s * ap + c * aq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    raise NumericError(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-
 def sym_spectrum(m) -> Spectrum:
-    """Full real spectrum of a symmetric matrix via cyclic Jacobi."""
-    w, _, sweeps = jacobi_eigh(m)
-    return Spectrum(eigenvalues=w, abscissa=float(w[-1]), sweeps=sweeps)
+    """Full real spectrum of a symmetric matrix, from LAPACK (eigvalsh)."""
+    w = np.linalg.eigvalsh(_require_symmetric(m))
+    return Spectrum(eigenvalues=w, abscissa=float(w[-1]))
+
+
+def _up(x: float) -> float:
+    """Next float up: bounds the real result of the rounding that made x."""
+    return math.nextafter(x, math.inf)
+
+
+def proves_negative_definite(m, margin: float = 0.0) -> bool:
+    """True only when m < -margin * I is proved despite rounding.
+
+    Floating-point Cholesky must complete on S = fl(G - cI), G = -m - margin I
+    of size k, with Rump's a-priori shift (BIT 46, 2006), u = 2^-53,
+    gamma = (k + 1) u / (1 - (k + 1) u) and eta = 2^-1074:
+    c = (1 + 4u)((1 + u) tr(G) gamma / (1 - gamma) + u max g_ii) + 2k(k + 2 + max g_ii) eta.
+    Completion gives R'R = S + E, |E| <= gamma |R'||R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3), so lambda_min(S) >
+    -gamma (1 + u) tr(G) / (1 - gamma); u max g_ii covers the rounding of
+    diag(S), the eta term underflow. c is evaluated rounding upward, so the
+    float shift is never below it. False means only that the proof failed.
+    """
+    a = _require_symmetric(m)
+    k = a.shape[0]
+    u, eta = 2.0**-53, 2.0**-1074
+    g_diag = -np.diag(a)
+    trace = _up(math.fsum([*g_diag.tolist(), *[-margin] * k]))
+    if trace <= 0.0:  # no positive definite G has a trace <= 0
+        return False
+    g_max = _up(float(g_diag.max()) - margin)
+    ku = (k + 1) * u
+    ratio = _up(ku / (1.0 - 2.0 * ku))  # gamma / (1 - gamma), exactly ku / (1 - 2 ku)
+    c = _up(_up(ratio * trace) * (1.0 + 2.0 * u))  # 1 + 2u: the float above 1 + u
+    c = _up(_up(c + _up(u * g_max)) * (1.0 + 4.0 * u))
+    c = _up(c + _up(_up(2.0 * k * _up(k + 2.0 + g_max)) * eta))
+    try:
+        np.linalg.cholesky(-a - _up(margin + c) * np.eye(k))  # rounds the diagonal only
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_positive_definite(m, tol: float = DEFINITENESS_TOL) -> bool:

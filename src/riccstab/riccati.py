@@ -22,8 +22,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ContractError, NumericError
-from .matcore import BlockSymmetric, as_positive_vector, as_square, sym_spectrum
-from .pmatrix import PMatrixReport, is_p_matrix, stacked_minors
+from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite, sym_spectrum
+from .pmatrix import MAX_P_SIZE, PMatrixReport, is_p_matrix, stacked_minors
 
 DEFAULT_TOL = 1e-7
 STARTS = 8
@@ -176,30 +176,34 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
     """Check a candidate (P, Q) through both equivalent forms.
 
     Returns (ok, achieved margin); the margin is minus the top eigenvalue of
-    the block form, computed by the Jacobi engine. ok requires both forms to
-    sit strictly below -margin_req. Raises NumericError if the two forms
-    disagree in sign beyond rounding, which would mean the Schur complement
-    identity failed numerically.
+    the block form. ok requires both forms to sit strictly below -margin_req
+    by their LAPACK eigenvalues and the block form by proves_negative_definite,
+    a Cholesky proof that does not trust those eigenvalues. Raises
+    NumericError if the two forms disagree in sign beyond rounding, which
+    would mean the Schur complement identity failed numerically.
     """
     if margin_req < 0.0:
         raise ContractError("margin_req must be >= 0")
     lam_r = sym_spectrum(riccati_form(pair, p, q)).abscissa
-    lam_b = sym_spectrum(block_lmi(pair, p, q).full).abscissa
+    block = block_lmi(pair, p, q).full
+    lam_b = sym_spectrum(block).abscissa
     if lam_r * lam_b < 0.0 and min(abs(lam_r), abs(lam_b)) > SCHUR_SIGN_TOL:
         raise NumericError(
             f"Riccati and block forms disagree in sign: {lam_r:.3e} vs {lam_b:.3e}"
         )
-    ok = lam_r < -margin_req and lam_b < -margin_req
+    ok = lam_r < -margin_req and lam_b < -margin_req and proves_negative_definite(block, margin_req)
     return ok, -lam_b
 
 
 def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
     """Validate a candidate witness matrix; None when it does not qualify.
 
-    Qualification: symmetric, PSD within WITNESS_PSD_TOL (checked by the
-    Jacobi engine), both diagonal blocks exactly unit within 1e-12, and the
+    Qualification: symmetric, PSD within WITNESS_PSD_TOL (smallest LAPACK
+    eigenvalue), both diagonal blocks exactly unit within 1e-12, and the
     image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
-    no marginal-band refutations).
+    no marginal-band refutations). Above n = MAX_P_SIZE only the minors
+    affordable at any size are tested: the diagonal entries, then the full
+    determinant.
     """
     s = as_square(s_full)
     if s.shape[0] != 2 * pair.n:
@@ -213,7 +217,13 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
     if sym_spectrum(s).min() < -WITNESS_PSD_TOL:
         return None
     image = -(pair.a * blk.b11 + pair.b * blk.b12)
-    report = is_p_matrix(image, band=0.0)
+    if pair.n <= MAX_P_SIZE:
+        report = is_p_matrix(image, band=0.0)
+    else:
+        minors = np.append(np.diag(image), stacked_minors(image[None]))
+        first = int(np.argmax(minors <= 0.0))  # 0 when none fails, and then is_p holds
+        subset = (first,) if first < pair.n else tuple(range(pair.n))
+        report = PMatrixReport(bool(minors[first] > 0.0), subset, float(minors[first]))
     if report.is_p:
         return None
     return CorrelationWitness(s=blk, p_report=report)
@@ -383,6 +393,27 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
     return None, tried
 
 
+def _gram_samples(
+    pair: MatrixPair, n_samples: int, seed: int
+) -> tuple[CorrelationWitness | None, int]:
+    """The Gram phase of refute_by_sampling: (first witness or None, tried)."""
+    if n_samples < 0:
+        raise ContractError("n_samples must be >= 0")
+    rng = np.random.default_rng(seed)
+    dim = 2 * pair.n
+    for tried in range(1, n_samples + 1):
+        g = rng.standard_normal((dim, dim))
+        norms = np.linalg.norm(g, axis=0)
+        norms[norms == 0.0] = 1.0
+        g = g / norms[None, :]
+        s = g.T @ g
+        np.fill_diagonal(s, 1.0)
+        witness = make_witness(pair, s)
+        if witness is not None:
+            return witness, tried
+    return None, n_samples
+
+
 def refute_by_sampling(
     pair: MatrixPair, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
 ) -> tuple[CorrelationWitness | None, int]:
@@ -396,23 +427,11 @@ def refute_by_sampling(
     """
     if n_samples < 0:
         raise ContractError("n_samples must be >= 0")
-    witness, tried = _deterministic_refutation(pair)
+    witness, screened = _deterministic_refutation(pair)
     if witness is not None:
-        return witness, tried
-    rng = np.random.default_rng(seed)
-    dim = 2 * pair.n
-    for _ in range(n_samples):
-        g = rng.standard_normal((dim, dim))
-        norms = np.linalg.norm(g, axis=0)
-        norms[norms == 0.0] = 1.0
-        g = g / norms[None, :]
-        s = g.T @ g
-        np.fill_diagonal(s, 1.0)
-        tried += 1
-        witness = make_witness(pair, s)
-        if witness is not None:
-            return witness, tried
-    return None, tried
+        return witness, screened
+    witness, sampled = _gram_samples(pair, n_samples, seed)
+    return witness, screened + sampled
 
 
 def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Verdict:
@@ -422,11 +441,11 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     a multistart search minimizing lambda_max of the block form over diagonal
     (P, Q) in log coordinates on the gauge sum(p) + sum(q) = 2n, with a
     Nelder-Mead stage and an eigenvector-subgradient polish per start. A
-    candidate below -tol is exactly re-verified through both forms before
+    candidate below -tol must pass verify_certificate at tol before
     Feasible is returned; starts are tried in order and the first success
-    wins, so outcomes are reproducible. If no start certifies, the sampling
-    refuter runs; when it also fails the verdict is Unknown with the best
-    margin found.
+    wins, so outcomes are reproducible. If no start certifies, random Gram
+    witnesses are sampled without repeating the screen; when that also
+    fails the verdict is Unknown with the best margin found.
     """
     opts = options or SolveOptions()
     n = pair.n
@@ -454,7 +473,7 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
                 cert = RiccatiCertificate(p=p, q=q, margin=margin)
                 return Verdict.feasible(cert, samples_tried=screened)
 
-    witness, sampled = refute_by_sampling(pair, opts.samples, opts.seed)
+    witness, sampled = _gram_samples(pair, opts.samples, opts.seed)
     total = screened + sampled
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=total)

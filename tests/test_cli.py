@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from riccstab.cli import main
@@ -73,6 +74,14 @@ def test_refute_emits_witness_or_empty(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE), "--samples", "16"])
     assert code == 2
     assert json.loads(out)["witness"] is None
+
+
+def test_check_answers_above_the_minor_walk_cap(tmp_path, capsys):
+    n = 15
+    problem = {"A": (-2.0 * np.eye(n)).tolist(), "B": (0.1 * np.eye(n)).tolist()}
+    code, out, _ = run_main(capsys, ["check", write(tmp_path, problem)])
+    assert code == 0
+    assert json.loads(out)["status"] == "Feasible"
 
 
 def test_transform_maps_certificate(tmp_path, capsys):

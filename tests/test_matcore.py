@@ -1,10 +1,13 @@
-"""Core matrix helpers: Hadamard products, sign envelopes, the Jacobi
-eigensolver, and the abscissa-based Hurwitz test."""
+"""Core matrix helpers: Hadamard products, sign envelopes, symmetric
+spectra against a Jacobi reference, the Cholesky definiteness proof against
+an exact oracle, and the abscissa-based Hurwitz test."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from riccstab.errors import ContractError
+from riccstab.errors import ContractError, NumericError
 from riccstab.matcore import (
     HurwitzResult,
     hadamard,
@@ -13,10 +16,97 @@ from riccstab.matcore import (
     is_negative_definite,
     is_nonnegative,
     is_positive_definite,
-    jacobi_eigh,
+    proves_negative_definite,
     sign_envelopes,
     sym_spectrum,
 )
+from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal
+
+JACOBI_MAX_SWEEPS = 50
+JACOBI_OFF_TOL = 1e-12
+
+
+def reference_jacobi_eigh(m):
+    """Cyclic Jacobi diagonalization of a symmetric matrix, the engine
+    sym_spectrum used before LAPACK; kept as an independent reference.
+
+    Returns (eigenvalues ascending, eigenvectors as columns, sweeps used).
+    Converges when the off-diagonal Frobenius norm drops below
+    JACOBI_OFF_TOL times the Frobenius norm of the input.
+    """
+    a = np.array(m, dtype=float)
+    a = (a + a.T) / 2.0
+    n = a.shape[0]
+    v = np.eye(n)
+    fro = float(np.linalg.norm(a))
+    if n == 1 or fro == 0.0:
+        return np.diag(a).copy(), v, 0
+
+    target = JACOBI_OFF_TOL * fro
+    # pivots this small cannot lift the off norm above target even if every
+    # off-diagonal entry sat at the threshold, so rotating on them is wasted
+    # work (and risks overflow in the theta quotient)
+    skip = target / (2.0 * n)
+    iu = np.triu_indices(n, 1)
+    for sweep in range(1, JACOBI_MAX_SWEEPS + 1):
+        off = float(np.sqrt(2.0 * np.sum(a[iu] ** 2)))
+        if off <= target:
+            w = np.diag(a).copy()
+            order = np.argsort(w, kind="stable")
+            return w[order], v[:, order], sweep - 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
+                t = np.sign(theta) if theta != 0.0 else 1.0
+                t = t / (abs(theta) + np.hypot(theta, 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                # columns, then rows: A <- J^T A J with the (p,q) rotation
+                ap = a[:, p].copy()
+                aq = a[:, q].copy()
+                a[:, p] = c * ap - s * aq
+                a[:, q] = s * ap + c * aq
+                ap = a[p, :].copy()
+                aq = a[q, :].copy()
+                a[p, :] = c * ap - s * aq
+                a[q, :] = s * ap + c * aq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp = v[:, p].copy()
+                vq = v[:, q].copy()
+                v[:, p] = c * vp - s * vq
+                v[:, q] = s * vp + c * vq
+    raise NumericError(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def exact_ldl_pivots(x):
+    """LDL' pivots of a symmetric float matrix over the rationals, exact
+    because floats are dyadic; None once a pivot is <= 0 (then x is not
+    positive definite, and otherwise it is)."""
+    k = len(x)
+    a = [[Fraction(float(v)) for v in row] for row in x]
+    pivots = []
+    for j in range(k):
+        d = a[j][j]
+        if d <= 0:
+            return None
+        pivots.append(d)
+        for i in range(j + 1, k):
+            f = a[i][j] / d
+            for c in range(j + 1, i + 1):
+                a[i][c] -= f * a[c][j]
+    return pivots
+
+
+def oracle_negative_definite(m, margin):
+    """Exact decision of m < -margin I; the smallest pivot, or None."""
+    k = m.shape[0]
+    x = [[-Fraction(float(m[i, j])) - (Fraction(margin) if i == j else 0) for j in range(k)] for i in range(k)]
+    pivots = exact_ldl_pivots(x)
+    return None if pivots is None else min(pivots)
 
 
 def test_hadamard_identity_mask():
@@ -95,7 +185,7 @@ def test_jacobi_eigenpairs_random():
     for n in (2, 5, 8, 12):
         g = rng.standard_normal((n, n))
         m = (g + g.T) / 2.0
-        w, v, _ = jacobi_eigh(m)
+        w, v, _ = reference_jacobi_eigh(m)
         fro = np.linalg.norm(m)
         for k in range(n):
             assert np.linalg.norm(m @ v[:, k] - w[k] * v[:, k]) <= 1e-9 * fro
@@ -109,10 +199,75 @@ def test_jacobi_matches_numpy_eigvalsh():
         n = int(rng.integers(2, 13))
         g = rng.standard_normal((n, n)) * rng.uniform(0.1, 10.0)
         m = (g + g.T) / 2.0
-        w, _, _ = jacobi_eigh(m)
+        w, _, _ = reference_jacobi_eigh(m)
         ref = np.linalg.eigvalsh(m)
         worst = max(worst, float(np.abs(w - ref).max() / max(1.0, np.abs(ref).max())))
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e9])
+def test_sym_spectrum_matches_jacobi_reference(scale):
+    rng = np.random.default_rng(19)
+    for n in range(1, 31):
+        g = rng.standard_normal((n, n)) * scale
+        m = (g + g.T) / 2.0
+        w, _, _ = reference_jacobi_eigh(m)
+        spec = sym_spectrum(m)
+        assert np.abs(spec.eigenvalues - w).max() <= 1e-12 * np.linalg.norm(m)
+        assert spec.abscissa == spec.eigenvalues[-1]
+
+
+def _proof_cases():
+    """(m, margin) pairs, k <= 12: seeded random negative definite blocks at
+    margins spread around the exact boundary, then the block forms of solver
+    certificates with margins within 1e-13 ||F|| of minus their top
+    eigenvalue."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        k = int(rng.integers(1, 13))
+        g = rng.standard_normal((k, k)) * 10.0 ** rng.uniform(-6.0, 6.0)
+        m = (g + g.T) / 2.0
+        m = m - (np.linalg.eigvalsh(m)[-1] + abs(rng.standard_normal()) * np.abs(m).max()) * np.eye(k)
+        top = float(np.linalg.eigvalsh(m)[-1])
+        for rel in (-1e-3, -1e-8, -1e-13, 0.0, 1e-13, 1e-8):
+            yield m, max(0.0, -top + rel * np.linalg.norm(m))
+    for n in range(1, 7):
+        for _ in range(4):
+            pair = MatrixPair(rng.standard_normal((n, n)) - 3.0 * np.eye(n), rng.standard_normal((n, n)))
+            verdict = solve_diagonal(pair)
+            if verdict.status != Verdict.FEASIBLE:
+                continue
+            f = block_lmi(pair, verdict.certificate.p, verdict.certificate.q).full
+            top = float(np.linalg.eigvalsh(f)[-1])
+            for rel in (-1e-13, -1e-14, 0.0, 1e-14, 1e-13):
+                yield f, max(0.0, -top + rel * np.linalg.norm(f))
+
+
+def test_proof_agrees_with_exact_oracle():
+    proved = refused = 0
+    for m, margin in _proof_cases():
+        smallest = oracle_negative_definite(m, margin)
+        claim = proves_negative_definite(m, margin)
+        if smallest is None:
+            assert not claim
+            refused += 1
+            continue
+        trace = -np.trace(m) - m.shape[0] * margin
+        if smallest > Fraction(1e-10) * Fraction(float(trace)):
+            assert claim
+        proved += claim
+    assert proved >= 100 and refused >= 50
+
+
+def test_proof_rejects_semidefinite_and_indefinite():
+    assert not proves_negative_definite(np.zeros((3, 3)))
+    assert not proves_negative_definite([[-1.0, 1.0], [1.0, -1.0]])
+    assert not proves_negative_definite([[-1.0, 2.0], [2.0, -1.0]])
+    assert proves_negative_definite(-np.eye(4), 0.5)
+    assert not proves_negative_definite(-np.eye(4), 1.0)
+    assert proves_negative_definite(np.zeros((2, 2)), -1.0)  # 0 < I
+    with pytest.raises(ContractError):
+        proves_negative_definite([[-1.0, 10.0], [0.0, -1.0]])
 
 
 def test_is_hurwitz_examples():

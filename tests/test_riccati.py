@@ -5,13 +5,16 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+from riccstab import riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import sym_spectrum
+from riccstab.pmatrix import MAX_P_SIZE
 from riccstab.riccati import (
     SIGN_ENUM_MAX_N,
     MatrixPair,
     SolveOptions,
     Verdict,
+    _deterministic_refutation,
     _sign_witness_search,
     block_lmi,
     refute_by_sampling,
@@ -223,3 +226,83 @@ def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
     s, _ = _sign_witness_search(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
     assert s is None
     assert 0 < len(calls) <= 2**n - 1
+
+
+# feasible with margin about 1e-9, below the default tol: the search cannot
+# certify it and no witness exists, so every solve ends in the sampler
+BOUNDARY = MatrixPair([[-1.0]], [[1.0 - 1e-9]])
+FAST = SolveOptions(max_iter=200, samples=8)
+
+
+def test_unknown_counts_the_screen_once():
+    verdict = solve_diagonal(BOUNDARY, FAST)
+    assert verdict.status == Verdict.UNKNOWN
+    _, screened = _deterministic_refutation(BOUNDARY)
+    assert verdict.samples_tried == screened + FAST.samples
+
+
+def test_screen_runs_once_per_solve(monkeypatch):
+    calls = []
+    search = riccati._sign_witness_search
+
+    def counting_search(pair):
+        calls.append(pair.n)
+        return search(pair)
+
+    monkeypatch.setattr(riccati, "_sign_witness_search", counting_search)
+    pairs = [BOUNDARY, MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))]
+    for pair in pairs:
+        solve_diagonal(pair, FAST)
+    assert len(calls) == len(pairs)
+
+
+@pytest.mark.parametrize("n", [MAX_P_SIZE + 1, MAX_P_SIZE + 2, 24])
+def test_solve_above_the_minor_walk_cap(n):
+    verdict = solve_diagonal(MatrixPair(-2.0 * np.eye(n), 0.1 * np.eye(n)))
+    assert verdict.status == Verdict.FEASIBLE
+    assert verdict.certificate.margin > 0.0
+
+
+def test_refute_above_the_minor_walk_cap_by_a_diagonal_entry():
+    n = MAX_P_SIZE + 2
+    a = -2.0 * np.eye(n)
+    a[3, 3] = 1.0
+    verdict = solve_diagonal(MatrixPair(a, 0.1 * np.eye(n)))
+    assert verdict.status == Verdict.REFUTED
+    assert verdict.witness.p_report.failing_subset == (3,)
+    assert verdict.witness.p_report.failing_minor <= 0.0
+
+
+def test_verify_certificate_at_its_margin():
+    pair = MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))
+    cert = solve_diagonal(pair).certificate
+    _, achieved = verify_certificate(pair, cert.p, cert.q)
+    assert not verify_certificate(pair, cert.p, cert.q, margin_req=achieved * (1.0 + 1e-9))[0]
+    assert verify_certificate(pair, cert.p, cert.q, margin_req=achieved * (1.0 - 1e-9))[0]
+
+
+def test_verify_certificate_does_not_trust_the_eigensolver(monkeypatch):
+    pair = MatrixPair([[-1.0]], [[2.0]])  # block form [[-1, 2], [2, -1]], eigenvalues -3 and 1
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) - 10.0)
+    ok, margin = verify_certificate(pair, [1.0], [1.0])
+    assert margin > 0.0  # the shifted spectrum alone would accept
+    assert not ok
+
+
+def test_verify_certificate_makes_one_proof_and_two_spectra(monkeypatch):
+    counts = {"cholesky": 0, "eigvalsh": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counting(m, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(m)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    n = MAX_P_SIZE
+    rng = np.random.default_rng(43)
+    pair = MatrixPair(-3.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n)), 0.1 * rng.standard_normal((n, n)))
+    ok, _ = verify_certificate(pair, np.ones(n), np.ones(n))
+    assert ok
+    assert counts == {"cholesky": 1, "eigvalsh": 2}
