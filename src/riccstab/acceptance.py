@@ -26,7 +26,7 @@ from .classes import (
 )
 from .ddesim import decay_check, simulate
 from .matcore import BlockSymmetric, spectral_abscissa, sym_spectrum
-from .pmatrix import dpd_conjugate, is_p_matrix
+from .pmatrix import dpd_conjugate, is_p_matrix, nonpositive_minor
 from .riccati import MatrixPair, Verdict, solve_diagonal
 from .transforms import ScalingPair, dad_transform, hadamard_congruence
 
@@ -73,9 +73,7 @@ class WitnessLog:
             return False
         if float(sym_spectrum(s.full).min()) < -1e-10:
             return False
-        image = -(pair.a * s.b11 + pair.b * s.b12)
-        report = is_p_matrix(image, band=0.0)
-        return not report.is_p
+        return nonpositive_minor(-(pair.a * s.b11 + pair.b * s.b12)) is not None
 
     def conflicts(self) -> int:
         return sum(1 for v in self.statuses.values() if len(v) > 1)

@@ -128,18 +128,6 @@ class BlockSymmetric:
         object.__setattr__(self, "full", full)
         object.__setattr__(self, "n", n)
 
-    @classmethod
-    def from_blocks(cls, b11, b12, b22) -> "BlockSymmetric":
-        b11 = as_square(b11)
-        b12 = as_matrix(b12)
-        b22 = as_square(b22)
-        n = b11.shape[0]
-        if b12.shape != (n, n) or b22.shape != (n, n):
-            raise DimensionError("blocks must all be n x n")
-        top = np.hstack([(b11 + b11.T) / 2.0, b12])
-        bot = np.hstack([b12.T, (b22 + b22.T) / 2.0])
-        return cls(np.vstack([top, bot]), n)
-
     @property
     def b11(self) -> np.ndarray:
         return self.full[: self.n, : self.n]

@@ -84,6 +84,27 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     return PMatrixReport(is_p=True)
 
 
+def nonpositive_minor(m) -> PMatrixReport | None:
+    """The first principal minor <= 0 among those affordable at any size, or None.
+
+    Up to MAX_P_SIZE: the walk of is_p_matrix with band=0. Above it: the
+    diagonal entries, then the full determinant with its sign from slogdet
+    (det = sign * exp(logdet) underflows to 0.0 for large n).
+    """
+    a = as_square(m)
+    if a.shape[0] <= MAX_P_SIZE:
+        report = is_p_matrix(a, band=0.0)
+        return None if report.is_p else report
+    bad = np.flatnonzero(np.diag(a) <= 0.0)
+    if bad.size:
+        return PMatrixReport(False, (int(bad[0]),), float(a[bad[0], bad[0]]))
+    sign, logdet = np.linalg.slogdet(a)
+    if sign > 0.0:
+        return None
+    with np.errstate(over="ignore"):  # the sign decided; the value is only reported
+        return PMatrixReport(False, tuple(range(a.shape[0])), float(sign * np.exp(logdet)))
+
+
 def p_sign_witness(m, x) -> int | None:
     """Index i with x_i * (Mx)_i > 0, or None when M reverses the sign of x.
 

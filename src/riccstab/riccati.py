@@ -23,7 +23,8 @@ from scipy.optimize import minimize
 
 from .errors import ContractError, NumericError
 from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite, sym_spectrum
-from .pmatrix import MAX_P_SIZE, PMatrixReport, is_p_matrix, stacked_minors
+from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
+from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
 DEFAULT_TOL = 1e-7
 STARTS = 8
@@ -201,9 +202,8 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
     Qualification: symmetric, PSD within WITNESS_PSD_TOL (smallest LAPACK
     eigenvalue), both diagonal blocks exactly unit within 1e-12, and the
     image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
-    no marginal-band refutations). Above n = MAX_P_SIZE only the minors
-    affordable at any size are tested: the diagonal entries, then the full
-    determinant.
+    no marginal-band refutations; pmatrix.nonpositive_minor, which above
+    n = MAX_P_SIZE tests only the diagonal entries and the full determinant).
     """
     s = as_square(s_full)
     if s.shape[0] != 2 * pair.n:
@@ -216,15 +216,8 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
         return None
     if sym_spectrum(s).min() < -WITNESS_PSD_TOL:
         return None
-    image = -(pair.a * blk.b11 + pair.b * blk.b12)
-    if pair.n <= MAX_P_SIZE:
-        report = is_p_matrix(image, band=0.0)
-    else:
-        minors = np.append(np.diag(image), stacked_minors(image[None]))
-        first = int(np.argmax(minors <= 0.0))  # 0 when none fails, and then is_p holds
-        subset = (first,) if first < pair.n else tuple(range(pair.n))
-        report = PMatrixReport(bool(minors[first] > 0.0), subset, float(minors[first]))
-    if report.is_p:
+    report = nonpositive_minor(-(pair.a * blk.b11 + pair.b * blk.b12))
+    if report is None:
         return None
     return CorrelationWitness(s=blk, p_report=report)
 
@@ -393,9 +386,7 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
     return None, tried
 
 
-def _gram_samples(
-    pair: MatrixPair, n_samples: int, seed: int
-) -> tuple[CorrelationWitness | None, int]:
+def _gram_samples(pair: MatrixPair, n_samples: int, seed: int) -> tuple[CorrelationWitness | None, int]:
     """The Gram phase of refute_by_sampling: (first witness or None, tried)."""
     if n_samples < 0:
         raise ContractError("n_samples must be >= 0")

@@ -14,6 +14,7 @@ from riccstab.pmatrix import (
     PMatrixReport,
     dpd_conjugate,
     is_p_matrix,
+    nonpositive_minor,
     p_sign_witness,
 )
 
@@ -187,6 +188,40 @@ def test_largest_p_walk_reports_full_size_failure():
 def test_walk_above_cap_raises_naming_the_limit():
     with pytest.raises(SizeGuardError, match=f"n={MAX_P_SIZE}"):
         is_p_matrix(np.eye(MAX_P_SIZE + 1))
+
+
+def test_nonpositive_minor_is_the_strict_walk_up_to_the_cap():
+    rng = np.random.default_rng(11)
+    for n in (1, 3, 7, MAX_P_SIZE):
+        for m in (np.eye(n) + 0.1 * rng.standard_normal((n, n)), rng.standard_normal((n, n))):
+            report = is_p_matrix(m, band=0.0)
+            assert nonpositive_minor(m) == (None if report.is_p else report)
+
+
+def test_nonpositive_minor_above_the_cap():
+    n = MAX_P_SIZE + 2
+    m = 2.0 * np.eye(n)
+    m[5, 5] = -1.0
+    m[9, 9] = 0.0
+    assert nonpositive_minor(m) == PMatrixReport(False, (5,), -1.0)
+    t = 0.069  # (1+t)I - tJ: positive diagonal, negative determinant
+    m = (1.0 + t) * np.eye(n) - t * np.ones((n, n))
+    report = nonpositive_minor(m)
+    assert report.failing_subset == tuple(range(n)) and report.failing_minor < 0.0
+    report = nonpositive_minor(1e20 * m)  # a determinant of about -1e319, past the float range
+    assert report.failing_subset == tuple(range(n)) and report.failing_minor == -np.inf
+    assert nonpositive_minor(np.eye(n) + 0.01 * np.ones((n, n))) is None
+
+
+@pytest.mark.parametrize("n, c", [(24, 1e-14), (40, 1e-9), (24, 1e20), (40, 1e9)])
+def test_nonpositive_minor_sign_survives_determinant_range(n, c):
+    # det = sign * exp(logdet) rounds to 0.0 below the float range and
+    # overflows (a RuntimeWarning, an error under the test config) above it
+    m = 1.9 * c * np.eye(n)
+    assert nonpositive_minor(m) is None
+    assert nonpositive_minor(-m).failing_subset == (0,)
+    if c < 1.0:
+        assert np.linalg.det(m) == 0.0
 
 
 def test_largest_p_walk_makes_one_det_call_per_stack(monkeypatch):

@@ -273,6 +273,27 @@ def test_refute_above_the_minor_walk_cap_by_a_diagonal_entry():
     assert verdict.witness.p_report.failing_minor <= 0.0
 
 
+def test_refute_above_the_minor_walk_cap_by_the_full_determinant():
+    n = MAX_P_SIZE + 2
+    t = 0.069  # in (1/(n-1), 1/(n-2)): only the full minor of (1+t)I - tJ - 0.01I is negative
+    m = (1.0 + t) * np.eye(n) - t * np.ones((n, n))
+    for c in (1e-14, 1.0, 1e9):
+        verdict = solve_diagonal(MatrixPair(-c * m, 0.01 * c * np.eye(n)))
+        assert verdict.status == Verdict.REFUTED
+        assert verdict.witness.p_report.failing_subset == tuple(range(n))
+        assert verdict.witness.p_report.failing_minor < 0.0
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-9, 1.0, 1e9])
+def test_screen_above_the_minor_walk_cap_is_scale_invariant(c):
+    # the all-ones extreme's image is 1.9c * I, whose determinant det rounds
+    # to 0.0 at c = 1e-14 (n = 24) and c = 1e-9 (n = 40)
+    for n in (24, 40):
+        pair = MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n))
+        assert _deterministic_refutation(pair)[0] is None
+    assert solve_diagonal(MatrixPair(-2.0 * np.eye(24), 0.1 * np.eye(24))).status == Verdict.FEASIBLE
+
+
 def test_verify_certificate_at_its_margin():
     pair = MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))
     cert = solve_diagonal(pair).certificate
