@@ -47,9 +47,9 @@ def _build_parser() -> _Parser:
         if needs_file:
             p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--tol", type=float, default=None, help="feasibility margin tolerance")
-        p.add_argument("--seed", type=int, default=None, help="random seed for solver restarts and sampling")
+        p.add_argument("--seed", type=int, default=None, help="seed of the Gram witness sampler, which runs only when the solver cannot certify (selftest: the battery seed)")
         p.add_argument("--samples", type=int, default=None, help="random refutation sample budget")
-        p.add_argument("--max-iter", type=int, default=None, help="iteration cap per solver restart")
+        p.add_argument("--max-iter", type=int, default=None, help="cap on the barrier solver's Newton steps")
         p.add_argument("--tau", default=None, help="comma-separated delay list for simulation")
         p.add_argument("--horizon", type=float, default=None, help="simulation end time")
         p.add_argument("--step", type=float, default=None, help="integration step")

@@ -3,7 +3,8 @@
 A real square matrix is a P-matrix when every principal minor is strictly
 positive. Minors are enumerated by subset size, then lexicographically, and
 evaluated in stacks of up to MINOR_CHUNK submatrices, one call per stack:
-closed forms for sizes 1 and 2, LU factorization with partial pivoting above.
+closed forms for sizes 1 and 2, LU factorization with partial pivoting above
+(its sign alone, from slogdet, when any positive minor passes).
 The enumeration is exponential, so inputs are capped at n = 14.
 """
 
@@ -65,8 +66,10 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     A minor counts as positive only when it exceeds band * scale, where scale
     is the product of row maxima of the submatrix (a crude determinant
     magnitude estimate). Minors in (0, band * scale] fail with the marginal
-    flag; pass band=0.0 to accept any positive minor. Subsets are visited by
-    size, then lexicographically, and the first failure is reported.
+    flag; pass band=0.0 to accept any positive minor, in which case minors
+    of size 3 and up are decided by the sign from slogdet, so that c * M gets
+    M's verdict however small c is. Subsets are visited by size, then
+    lexicographically, and the first failure is reported with its det value.
     """
     a = as_square(m)
     n = a.shape[0]
@@ -75,11 +78,14 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     for size in range(1, n + 1):
         for subsets in _subset_chunks(n, size):
             subs = a[subsets[:, :, None], subsets[:, None, :]]
-            minors = stacked_minors(subs)
-            limit = band * np.abs(subs).max(axis=2).prod(axis=1) if band else 0.0
-            failing = np.flatnonzero(minors <= limit)
+            if band == 0.0 and size >= 3:
+                # the sign alone decides, and slogdet's survives where det rounds to 0.0
+                failing = np.flatnonzero(np.linalg.slogdet(subs)[0] <= 0.0)
+            else:
+                limit = band * np.abs(subs).max(axis=2).prod(axis=1) if band else 0.0
+                failing = np.flatnonzero(stacked_minors(subs) <= limit)
             if failing.size:
-                subset, minor = tuple(subsets[failing[0]].tolist()), float(minors[failing[0]])
+                subset, minor = tuple(subsets[failing[0]].tolist()), float(stacked_minors(subs[failing[0]]))
                 return PMatrixReport(False, subset, minor, marginal=minor > 0.0)
     return PMatrixReport(is_p=True)
 

@@ -19,20 +19,16 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ContractError, NumericError
+from .lmi import minimize
 from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite, sym_spectrum
 from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
 DEFAULT_TOL = 1e-7
-STARTS = 8
 DEFAULT_MAX_ITER = 5000
-SIMPLEX_ATOL = 1e-12
 DEFAULT_SAMPLES = 64
-LOG_BOX = 2.0
-POLISH_ITERS = 150
 WITNESS_PSD_TOL = 1e-10
 SIGN_ENUM_MAX_N = 6
 SCHUR_SIGN_TOL = 1e-9
@@ -146,7 +142,14 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tunables for solve_diagonal; defaults match the documented contract."""
+    """Tunables for solve_diagonal.
+
+    tol and stop_value() are relative to the pair's scale
+    s = max|A| + max|B|: the barrier solver works on (A, B)/s, and a
+    certificate must verify at margin tol * s. max_iter caps its Newton
+    steps. seed and samples drive only the random Gram fallback that runs
+    when the solver cannot certify.
+    """
 
     tol: float = DEFAULT_TOL
     seed: int = 0
@@ -154,7 +157,7 @@ class SolveOptions:
     samples: int = DEFAULT_SAMPLES
 
     def stop_value(self) -> float:
-        """Objective level at which the search may stop early: clearly feasible."""
+        """lambda_max of the scaled block at which the solver stops: clearly feasible."""
         return min(-1e-3, -10.0 * self.tol)
 
 
@@ -233,103 +236,6 @@ def _block_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> n
     full[n:, :n] = top_right.T
     full[n:, n:] = -np.diag(q)
     return full
-
-
-def _lmax(pair: MatrixPair, p: np.ndarray, q: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_block_full(pair.a, pair.b, p, q))[-1])
-
-
-def _theta_to_pq(theta: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    w = np.exp(np.clip(theta, -40.0, 40.0))
-    w = w * (2.0 * n / w.sum())
-    return w[:n], w[n:]
-
-
-def _simplex_descent(pair: MatrixPair, x0: np.ndarray, opts: SolveOptions) -> np.ndarray:
-    n = pair.n
-    stop = opts.stop_value()
-    state = {"best": np.inf, "best_x": np.array(x0, copy=True)}
-
-    def objective(theta):
-        p, q = _theta_to_pq(np.asarray(theta, dtype=float), n)
-        val = _lmax(pair, p, q)
-        if val < state["best"]:
-            state["best"] = val
-            state["best_x"] = np.array(theta, copy=True)
-        return val
-
-    def callback(_xk):
-        if state["best"] <= stop:
-            raise StopIteration
-
-    try:
-        minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            callback=callback,
-            options={
-                "maxiter": opts.max_iter,
-                "maxfev": 2 * opts.max_iter,
-                "xatol": SIMPLEX_ATOL,
-                "fatol": SIMPLEX_ATOL,
-            },
-        )
-    except StopIteration:
-        pass
-    return state["best_x"]
-
-
-def _polish(
-    pair: MatrixPair, p: np.ndarray, q: np.ndarray, opts: SolveOptions
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Projected subgradient descent on lambda_max over the gauge slice.
-
-    The block form is linear in (p, q), so lambda_max is convex there; the
-    subgradient at the top eigenvector u = (u1, u2) has the closed form
-    g_p[i] = 2 u1[i] (A u1 + B u2)[i], g_q[i] = u1[i]^2 - u2[i]^2. Steps are
-    projected back onto sum(p) + sum(q) = 2n with a positivity floor.
-    """
-    a, b = pair.a, pair.b
-    n = pair.n
-    gauge = 2.0 * n
-    floor = 1e-12
-    x = np.concatenate([p, q])
-    best_x = x.copy()
-    best_lam = _lmax(pair, p, q)
-    stop = opts.stop_value()
-    for _ in range(POLISH_ITERS):
-        if best_lam <= stop:
-            break
-        full = _block_full(a, b, x[:n], x[n:])
-        w, vecs = np.linalg.eigh(full)
-        lam = float(w[-1])
-        u1 = vecs[: n, -1]
-        u2 = vecs[n:, -1]
-        gp = 2.0 * u1 * (a @ u1 + b @ u2)
-        gq = u1 * u1 - u2 * u2
-        g = np.concatenate([gp, gq])
-        g -= g.mean()
-        gnorm = float(np.linalg.norm(g))
-        if gnorm < 1e-16:
-            break
-        alpha = 0.25 * max(float(x.max()), 1e-6) / gnorm
-        improved = False
-        for _ in range(12):
-            cand = np.maximum(x - alpha * g, floor)
-            cand *= gauge / cand.sum()
-            cand_lam = _lmax(pair, cand[:n], cand[n:])
-            if cand_lam < lam - 1e-15:
-                x = cand
-                if cand_lam < best_lam:
-                    best_lam = cand_lam
-                    best_x = cand.copy()
-                improved = True
-                break
-            alpha *= 0.5
-        if not improved:
-            break
-    return best_x[:n], best_x[n:], best_lam
 
 
 def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
@@ -428,44 +334,31 @@ def refute_by_sampling(
 def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Verdict:
     """Decide diagonal Riccati stability of a pair, with evidence.
 
-    Pipeline: a deterministic refutation screen (certain when it fires), then
-    a multistart search minimizing lambda_max of the block form over diagonal
-    (P, Q) in log coordinates on the gauge sum(p) + sum(q) = 2n, with a
-    Nelder-Mead stage and an eigenvector-subgradient polish per start. A
-    candidate below -tol must pass verify_certificate at tol before
-    Feasible is returned; starts are tried in order and the first success
-    wins, so outcomes are reproducible. If no start certifies, random Gram
-    witnesses are sampled without repeating the screen; when that also
-    fails the verdict is Unknown with the best margin found.
+    Pipeline: a deterministic refutation screen (certain when it fires),
+    then the barrier solver lmi.minimize on the scaled pair (A, B)/s with
+    s = max|A| + max|B|, which minimizes lambda_max of the block form over
+    diagonal (P, Q) on the gauge sum(p) + sum(q) = 2n. Its point (p, q)
+    maps back as (p, s q), the block form scaling by s, and must pass
+    verify_certificate at margin tol * s before Feasible is returned, so
+    c (A, B) gets the verdict of (A, B). Otherwise random Gram witnesses
+    are sampled without repeating the screen; when that also fails the
+    verdict is Unknown with the best margin found, in the pair's units.
     """
     opts = options or SolveOptions()
-    n = pair.n
     witness, screened = _deterministic_refutation(pair)
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=screened)
 
-    rng = np.random.default_rng(opts.seed)
-    dim = 2 * n
-    start_points = [np.zeros(dim)]
-    for _ in range(STARTS - 1):
-        start_points.append(rng.uniform(-LOG_BOX, LOG_BOX, dim))
-
-    best_lam = np.inf
-    for x0 in start_points:
-        x_best = _simplex_descent(pair, x0, opts)
-        p, q = _theta_to_pq(x_best, n)
-        lam = _lmax(pair, p, q)
-        if lam > opts.stop_value():
-            p, q, lam = _polish(pair, p, q, opts)
-        best_lam = min(best_lam, lam)
-        if lam <= -opts.tol:
-            ok, margin = verify_certificate(pair, p, q, margin_req=opts.tol)
-            if ok:
-                cert = RiccatiCertificate(p=p, q=q, margin=margin)
-                return Verdict.feasible(cert, samples_tried=screened)
+    s = float(np.abs(pair.a).max() + np.abs(pair.b).max())  # > 0: the screen refutes A = B = 0
+    found = minimize(pair.a / s, pair.b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)
+    if found.lam <= -opts.tol:
+        p, q = found.p, s * found.q
+        ok, margin = verify_certificate(pair, p, q, margin_req=opts.tol * s)
+        if ok:
+            return Verdict.feasible(RiccatiCertificate(p=p, q=q, margin=margin), samples_tried=screened)
 
     witness, sampled = _gram_samples(pair, opts.samples, opts.seed)
     total = screened + sampled
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=total)
-    return Verdict.unknown(best_margin=-best_lam, samples_tried=total)
+    return Verdict.unknown(best_margin=-s * found.lam, samples_tried=total)

@@ -91,3 +91,14 @@ def test_criterion_10_determinism(battery):
     assert entry["identical_reports"]
     assert battery.first_json == battery.second_json
     assert battery.report["all_passed"]
+
+
+def test_signature_classes_at_seed_one():
+    """Seed 1 draws two tridiagonal pairs the closed form calls Stable (abscissa
+    -0.153) that a budget-bound search left Unknown."""
+    log = acceptance.WitnessLog()
+    entry = acceptance.signature_classes(1, log)
+    for name in ("rank_one_row", "tridiagonal", "last_row", "superdiagonal"):
+        assert entry[name]["cases"] == 100
+        assert entry[name]["mismatches"] == 0
+    assert entry["passed"]

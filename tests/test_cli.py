@@ -86,12 +86,17 @@ def test_check_answers_above_the_minor_walk_cap(tmp_path, capsys):
 
 def test_transform_maps_certificate(tmp_path, capsys):
     problem = dict(FEASIBLE, transform={"d": [2.0], "e": [1.0]})
+    code, out, _ = run_main(capsys, ["check", write(tmp_path, problem)])
+    assert code == 0
+    certificate = json.loads(out)
     code, out, _ = run_main(capsys, ["transform", write(tmp_path, problem)])
     assert code == 0
     report = json.loads(out)
     assert report["A"] == [[-8.0]]
     assert report["B"] == [[2.0]]
-    assert report["certificate"]["Q"] == pytest.approx([4.0], abs=2e-3)
+    # the map (P, Q) -> (P, DQD) applied to the check certificate, exactly
+    assert report["certificate"]["P"] == certificate["P"]
+    assert report["certificate"]["Q"] == [2.0 * 2.0 * q for q in certificate["Q"]]
 
 
 def test_simulate_reports_and_csv(tmp_path, capsys):
@@ -156,3 +161,10 @@ def test_reports_byte_identical_across_processes(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip() != ""
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, riccstab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,96 @@
+"""Barrier solver for the block LMI: derivatives, stopping rules, determinism."""
+
+import numpy as np
+import pytest
+
+from riccstab.lmi import _block, _chol, _newton_system, minimize
+from riccstab.riccati import MatrixPair, SolveOptions, Verdict, solve_diagonal
+
+
+def generators(a, b):
+    """The 2n matrices F_i with F(w) = sum_i w_i F_i, built entry by entry."""
+    n = a.shape[0]
+    gens = []
+    for i in range(n):
+        f = np.zeros((2 * n, 2 * n))
+        f[i, :n] += a[i]  # PA
+        f[:n, i] += a[i]  # A'P
+        f[i, n:] = b[i]  # PB
+        f[n:, i] = b[i]  # B'P
+        gens.append(f)
+    for i in range(n):
+        f = np.zeros((2 * n, 2 * n))
+        f[i, i] = 1.0
+        f[n + i, n + i] = -1.0
+        gens.append(f)
+    return gens
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_derivatives_match_dense_traces(n):
+    rng = np.random.default_rng(500 + n)
+    a, b = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    w = rng.uniform(0.3, 2.0, 2 * n)
+    gens = generators(a, b)
+    f = sum(wi * fi for wi, fi in zip(w, gens))
+    v = np.hstack([a, b])
+    assert np.allclose(_block(v, w), f, rtol=0.0, atol=1e-13)
+    t = float(np.linalg.eigvalsh(f)[-1]) + 0.7
+    kappa = 3.0
+    x = np.linalg.inv(t * np.eye(2 * n) - f)
+    # d/dt and d/dw_i of the barrier; G = tI - F has dG/dt = I, dG/dw_i = -F_i
+    dg = [np.eye(2 * n)] + [-fi for fi in gens]
+    grad = np.array([kappa - np.trace(x)] + [np.trace(x @ fi) - 1.0 / wi for wi, fi in zip(w, gens)])
+    hess = np.array([[np.trace(x @ gi @ x @ gj) for gj in dg] for gi in dg])
+    hess[1:, 1:] += np.diag(1.0 / w**2)
+    got_grad, got_hess = _newton_system(v, kappa, w, _chol(v, t, w))
+    np.testing.assert_allclose(got_grad, grad, rtol=1e-10, atol=1e-10 * np.abs(grad).max())
+    np.testing.assert_allclose(got_hess, hess, rtol=1e-10, atol=1e-10 * np.abs(hess).max())
+
+
+BOUNDARY_PAIRS = (
+    ([[-1.0]], [[1.0 - 1e-9]]),
+    # A = -I + K (K skew), B = (1 - 1e-9) U (U orthogonal); near the optimum
+    # the Newton decrement stalls above CENTERED at working precision
+    (
+        [[-1.0, -0.04465873307292929], [0.04465873307292929, -1.0]],
+        [[-0.6377224963003972, -0.7702661979552201], [-0.7702661979552201, 0.637722496300397]],
+    ),
+)
+
+
+@pytest.mark.parametrize("a, b", BOUNDARY_PAIRS, ids=["scalar", "rotation"])
+def test_boundary_pair_ends_unknown_within_sixty_steps(a, b):
+    a, b = np.array(a), np.array(b)
+    s = np.abs(a).max() + np.abs(b).max()
+    opts = SolveOptions()
+    found = minimize(a / s, b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)
+    assert found.steps <= 60
+    assert found.lam > -opts.tol
+    assert solve_diagonal(MatrixPair(a, b), SolveOptions(max_iter=60)).status == Verdict.UNKNOWN
+
+
+def test_pair_certified_at_unit_weights_takes_no_newton_step():
+    a = np.array([[-2.235, 0.006, 0.107], [-0.122, -2.109, 0.009], [-0.051, 0.158, -1.591]])
+    b = np.array([[-0.372, 0.023, 0.179], [-0.058, 0.212, -0.021], [0.207, 0.446, -0.209]])
+    s = np.abs(a).max() + np.abs(b).max()
+    found = minimize(a / s, b / s, stop=-1e-3, tol=1e-7, max_iter=5000)
+    assert found.steps == 0
+    assert np.array_equal(found.p, np.ones(3)) and np.array_equal(found.q, np.ones(3))
+    assert found.lam <= -1e-3
+
+
+def test_max_iter_caps_newton_steps():
+    a, b = np.array([[-1.0]]), np.array([[1.0 - 1e-9]])
+    assert minimize(a, b, stop=-1e-3, tol=1e-7, max_iter=5).steps == 5
+
+
+def test_two_solves_give_identical_json():
+    # a similarity-scaled pair that unit weights do not certify: the path moves
+    t = np.array([0.3, 1.0, 3.0])
+    a = np.array([[-2.235, 0.006, 0.107], [-0.122, -2.109, 0.009], [-0.051, 0.158, -1.591]])
+    b = np.array([[-0.372, 0.023, 0.179], [-0.058, 0.212, -0.021], [0.207, 0.446, -0.209]])
+    pair = MatrixPair(t[:, None] * a / t[None, :], t[:, None] * b / t[None, :])
+    first, second = solve_diagonal(pair), solve_diagonal(pair)
+    assert first.status == Verdict.FEASIBLE
+    assert first.to_json() == second.to_json()

@@ -224,6 +224,23 @@ def test_nonpositive_minor_sign_survives_determinant_range(n, c):
         assert np.linalg.det(m) == 0.0
 
 
+@pytest.mark.parametrize("n, c", [(3, 1e-120), (MAX_P_SIZE, 1e-25), (MAX_P_SIZE, 1e-100)])
+def test_strict_walk_accepts_tiny_identity(n, c):
+    # det of the k >= 3 minors rounds to 0.0; the sign from slogdet does not
+    assert is_p_matrix(c * np.eye(n), band=0.0).is_p
+    assert nonpositive_minor(c * np.eye(n)) is None
+    report = is_p_matrix(-c * np.eye(n), band=0.0)
+    assert report.failing_subset == (0,) and report.failing_minor == -c
+
+
+def test_strict_walk_reports_the_failing_determinant():
+    t = 0.6  # (1 + t) I - t J: proper minors positive, determinant -0.512
+    m = 1e-120 * ((1.0 + t) * np.eye(3) - t * np.ones((3, 3)))
+    report = is_p_matrix(m, band=0.0)
+    assert report.failing_subset == (0, 1, 2) and not report.marginal
+    assert report.failing_minor == np.linalg.det(m) == 0.0  # the det value, however it rounds
+
+
 def test_largest_p_walk_makes_one_det_call_per_stack(monkeypatch):
     calls = []
     det = np.linalg.det

@@ -291,7 +291,7 @@ def test_screen_above_the_minor_walk_cap_is_scale_invariant(c):
     for n in (24, 40):
         pair = MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n))
         assert _deterministic_refutation(pair)[0] is None
-    assert solve_diagonal(MatrixPair(-2.0 * np.eye(24), 0.1 * np.eye(24))).status == Verdict.FEASIBLE
+        assert solve_diagonal(pair).status == Verdict.FEASIBLE
 
 
 def test_verify_certificate_at_its_margin():
@@ -327,3 +327,40 @@ def test_verify_certificate_makes_one_proof_and_two_spectra(monkeypatch):
     ok, _ = verify_certificate(pair, np.ones(n), np.ones(n))
     assert ok
     assert counts == {"cholesky": 1, "eigvalsh": 2}
+
+
+# the README pair (one Newton step) and a 3x3 base that unit weights certify
+INVARIANCE_BASES = (
+    MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2)),
+    MatrixPair(
+        [[-2.235, 0.006, 0.107], [-0.122, -2.109, 0.009], [-0.051, 0.158, -1.591]],
+        [[-0.372, 0.023, 0.179], [-0.058, 0.212, -0.021], [0.207, 0.446, -0.209]],
+    ),
+)
+
+
+@pytest.mark.parametrize("base", INVARIANCE_BASES, ids=["readme", "dense3"])
+@pytest.mark.parametrize("c", [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e9])
+def test_scaled_pair_gets_the_base_verdict_and_certificate(base, c):
+    s = float(np.abs(base.a).max() + np.abs(base.b).max())
+    expected = solve_diagonal(base)
+    verdict = solve_diagonal(MatrixPair(c * base.a, c * base.b))
+    assert verdict.status == expected.status == Verdict.FEASIBLE
+    np.testing.assert_allclose(verdict.certificate.p, expected.certificate.p, rtol=1e-12, atol=0.0)
+    rel = verdict.certificate.margin / (c * s)
+    assert rel == pytest.approx(expected.certificate.margin / s, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-25, 1e-100])
+def test_screen_finds_no_witness_at_small_scale(c):
+    # the all-ones extreme's image is 1.9c * I; det of its minors rounds to 0.0
+    n = MAX_P_SIZE
+    assert _deterministic_refutation(MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n)))[0] is None
+
+
+def test_solve_feasible_at_small_scale():
+    n = MAX_P_SIZE
+    pair = MatrixPair(-2.0e-25 * np.eye(n), 0.1e-25 * np.eye(n))
+    verdict = solve_diagonal(pair)
+    assert verdict.status == Verdict.FEASIBLE
+    assert verify_certificate(pair, verdict.certificate.p, verdict.certificate.q)[0]
