@@ -231,6 +231,10 @@ def _cmd_selftest(args) -> int:
     seed = args.seed if args.seed is not None else 0
     result = acceptance.selftest(seed)
     _emit_json(result.report, args.out)
+    # wall-clock seconds stay off stdout, which is byte-identical for a seed
+    for run, suites in result.timings.items():
+        for suite, seconds in suites.items():
+            sys.stderr.write(f"riccstab: selftest {run} {suite} {seconds:.3f} s\n")
     return EXIT_OK if result.report["all_passed"] else EXIT_UNDECIDED
 
 

@@ -1,8 +1,10 @@
 """Delay differential equation integrator and energy-decay validation.
 
 Simulates dx/dt = A x(t) + B x(t - tau) from a constant initial function by
-classical RK4 on a grid the delay falls on exactly, each step applied as one
-affine map of the current and the delayed state, and monitors the
+classical RK4 on a grid the delay falls on exactly. Each step is one affine
+map of the current and the delayed state; since the delayed states of the
+next d + 1 steps are already on the grid, each block of d + 1 steps is
+computed at once by a doubling prefix scan. It also monitors the
 quadratic functional V(t) = x'Px + integral of x'Qx over the trailing delay
 window when a certificate is supplied. The functional is the one whose decay
 the certificate inequality guarantees.
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, SizeGuardError
 from .matcore import as_vector
 from .riccati import MatrixPair, RiccatiCertificate, verify_certificate
 
@@ -23,6 +25,8 @@ DIVERGENCE_NORM = 1e100
 FINAL_NORM_FRACTION = 1e-3
 LK_STEP_FRACTION = 1e-6
 GRID_SNAP_RTOL = 1e-9
+MAX_GRID_VALUES = 10**8
+SCAN_LEVELS = 12  # a scan block holds at most 2**SCAN_LEVELS steps, so its scratch stays small next to the grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,6 +96,13 @@ def _adjusted_step(tau: float, h: float) -> tuple[float, int]:
     return tau / m, m
 
 
+def _require_grid(rows: float, n: int) -> None:
+    if rows * n > MAX_GRID_VALUES:
+        raise SizeGuardError(
+            f"simulation grid of {rows:.4g} rows x {n} values exceeds MAX_GRID_VALUES = {MAX_GRID_VALUES}"
+        )
+
+
 def _rk4_maps(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
     """One classical RK4 step of dx/dt = A x + B x_d with x_d held constant
     over the step, as the affine map x+ = M x + N x_d.
@@ -111,12 +122,23 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
 def simulate(pair: MatrixPair, tau: float, phi, horizon: float, h: float) -> DelayTrajectory:
     """Integrate the delay system from a constant initial function.
 
-    The step is adjusted downward so the delay is a whole number of steps,
+    The step is adjusted downward so the delay is a whole number d of steps,
     the delayed term is read off the stored grid once per step and held
     constant across the four RK4 stages. tau = 0 runs the same stepper on
     the undelayed system with matrix A + B and a zero delayed term, so it
     reduces exactly to RK4 on that system.
+
+    Each step is the affine map x[k+1] = M x[k] + N x[k-d], and the next
+    d + 1 states read only delayed states already on the grid, so they are
+    computed together: with z[j] = N x[k+j-d] (plus M x[k] in z[0]), the
+    prefix scan z[j] += M^o z[j-o] for o = 1, 2, 4, ... turns z[j] into
+    x[k+1+j] in about log2(d + 1) array operations. With tau = 0 a block is
+    the whole run. Blocks hold at most 2**SCAN_LEVELS steps. The grid (delay + steps + 1 rows of n values) is capped at
+    MAX_GRID_VALUES.
     """
+    for name, value in (("step", h), ("delay tau", tau), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ContractError(f"{name} must be finite, got {value}")
     if h <= 0.0:
         raise ContractError("step must be positive")
     if tau < 0.0:
@@ -125,25 +147,50 @@ def simulate(pair: MatrixPair, tau: float, phi, horizon: float, h: float) -> Del
         raise ContractError("horizon must be at least the delay")
     x0 = as_vector(phi, pair.n).copy()
 
+    # the adjusted step is at most h, so the grid has at least horizon/h rows;
+    # checking that first keeps the integer conversions below finite
+    _require_grid(horizon / h, pair.n)
     if tau == 0.0:
         step, delay = h, 0
         m, n = _rk4_maps(pair.a + pair.b, np.zeros_like(pair.b), step)
     else:
         step, delay = _adjusted_step(tau, h)
         m, n = _rk4_maps(pair.a, pair.b, step)
+    _require_grid(delay + horizon / step + 1.0, pair.n)
     steps = max(1, math.ceil(horizon / step - GRID_SNAP_RTOL))
-    xs = np.empty((steps + 1, pair.n))
-    xs[0] = x0
-    x = x0
+    hist = np.empty((delay + steps + 1, pair.n))
+    hist[: delay + 1] = x0
+    xs = hist[delay:]
+    block = delay + 1 if delay else steps
     diverged = False
-    for k in range(steps):
-        j = k - delay
-        x = m @ x + n @ (x0 if j < 0 else xs[j])
-        if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
-            diverged = True
-            xs = xs[: k + 1]
-            break
-        xs[k + 1] = x
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (M')^1, (M')^2, (M')^4, ... for the scan's offsets; a power that is
+        # not finite ends the list, and the block is shortened to match
+        powers = []
+        power = m.T
+        while 2 ** len(powers) < block and len(powers) < SCAN_LEVELS and np.all(np.isfinite(power)):
+            powers.append(power)
+            power = power @ power
+        block = min(block, 2 ** len(powers))
+        for k in range(0, steps, block):
+            size = min(block, steps - k)
+            # without a delay N is zero and the rows ahead of k are not written yet
+            z = hist[k : k + size] @ n.T if delay else np.zeros((size, pair.n))
+            z[0] += m @ xs[k]
+            for level, power in enumerate(powers):
+                o = 2**level
+                if o >= size:
+                    break
+                z[o:] += z[:-o] @ power
+            # a row that is not finite has norm inf or nan, which fails <=
+            kept = np.linalg.norm(z, axis=1) <= DIVERGENCE_NORM
+            if not kept.all():
+                first = int(np.argmin(kept))
+                xs[k + 1 : k + 1 + first] = z[:first]
+                xs = xs[: k + 1 + first]
+                diverged = True
+                break
+            xs[k + 1 : k + 1 + size] = z
     ts = step * np.arange(xs.shape[0])
     return DelayTrajectory(ts, xs, tau, step, x0, diverged)
 

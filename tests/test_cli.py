@@ -7,6 +7,8 @@ import sys
 import numpy as np
 import pytest
 
+from riccstab import acceptance
+from riccstab.acceptance import SelftestResult
 from riccstab.cli import main
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
@@ -141,6 +143,43 @@ def test_input_errors_exit_one(tmp_path, capsys):
     assert "exactly one delay" in err
 
 
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--horizon", "inf"], "horizon"),
+        (["--horizon", "nan"], "horizon"),
+        (["--step", "nan"], "step"),
+        (["--step", "inf"], "step"),
+        (["--tau", "inf"], "tau"),
+        (["--tau", "nan"], "tau"),
+        (["--horizon", "1e12"], "MAX_GRID_VALUES"),
+    ],
+)
+def test_simulate_rejects_unusable_grid_arguments(tmp_path, capsys, flags, name):
+    code, out, err = run_main(capsys, ["simulate", write(tmp_path, FEASIBLE)] + flags)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
+def test_selftest_writes_timings_to_stderr(tmp_path, capsys, monkeypatch):
+    report = {"seed": 0, "criteria": {}, "all_passed": True}
+    timings = {
+        "first_run": {"positive_oracle": 1.5, "total": 1.5},
+        "second_run": {"positive_oracle": 1.25, "total": 1.25},
+    }
+    monkeypatch.setattr(acceptance, "selftest", lambda seed: SelftestResult(report, timings, "{}", "{}"))
+    code, out, err = run_main(capsys, ["selftest"])
+    assert code == 0
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert err.splitlines() == [
+        "riccstab: selftest first_run positive_oracle 1.500 s",
+        "riccstab: selftest first_run total 1.500 s",
+        "riccstab: selftest second_run positive_oracle 1.250 s",
+        "riccstab: selftest second_run total 1.250 s",
+    ]
+
+
 def test_unknown_flag_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["check", write(tmp_path, FEASIBLE), "--bogus"])
@@ -161,6 +200,15 @@ def test_reports_byte_identical_across_processes(tmp_path):
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip() != ""
+
+
+def test_package_runs_as_a_module(tmp_path):
+    path = write(tmp_path, CHAIN)
+    as_package = subprocess.run([sys.executable, "-m", "riccstab", "check", path], capture_output=True, text=True)
+    as_cli = subprocess.run([sys.executable, "-m", "riccstab.cli", "check", path], capture_output=True, text=True)
+    assert as_package.returncode == 0, as_package.stderr
+    assert as_package.stdout == as_cli.stdout
+    assert json.loads(as_package.stdout)["status"] == "Feasible"
 
 
 def test_import_does_not_load_scipy():

@@ -7,14 +7,19 @@ import numpy as np
 import pytest
 
 from riccstab.ddesim import (
+    DIVERGENCE_NORM,
+    GRID_SNAP_RTOL,
+    MAX_GRID_VALUES,
+    SCAN_LEVELS,
     _adjusted_step,
+    _rk4_maps,
     decay_check,
     decay_report,
     export_csv,
     lk_functional,
     simulate,
 )
-from riccstab.errors import ContractError
+from riccstab.errors import ContractError, SizeGuardError
 from riccstab.riccati import MatrixPair, RiccatiCertificate, Verdict, solve_diagonal
 
 SCALAR_PAIR = MatrixPair([[-2.0]], [[1.0]])
@@ -70,6 +75,81 @@ def test_simulate_matches_stagewise_rk4(tau):
     assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def reference_simulate(pair, tau, phi, horizon, h):
+    """Per-step form of simulate: one affine map x+ = M x + N x_d per
+    Python iteration, stopping at the first state that is not finite or
+    whose norm exceeds DIVERGENCE_NORM. Returns (xs, diverged)."""
+    x0 = np.asarray(phi, dtype=float)
+    if tau == 0.0:
+        step, delay = h, 0
+        m, n = _rk4_maps(pair.a + pair.b, np.zeros_like(pair.b), step)
+    else:
+        step, delay = _adjusted_step(tau, h)
+        m, n = _rk4_maps(pair.a, pair.b, step)
+    steps = max(1, math.ceil(horizon / step - GRID_SNAP_RTOL))
+    xs = np.empty((steps + 1, pair.n))
+    xs[0] = x0
+    x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(steps):
+            j = k - delay
+            x = m @ x + n @ (x0 if j < 0 else xs[j])
+            if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_NORM:
+                return xs[: k + 1], True
+            xs[k + 1] = x
+    return xs, False
+
+
+def _random_pair(n):
+    rng = np.random.default_rng(n)
+    a = rng.uniform(-0.3, 0.3, (n, n)) - 2.0 * np.eye(n)
+    b = rng.uniform(-0.5, 0.5, (n, n)) / n
+    return MatrixPair(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("tau", [0.0, 0.02, 0.1, 1.0, 5.0, 25.0])
+def test_block_scan_matches_per_step_reference(n, tau):
+    pair = _random_pair(n)
+    phi = np.linspace(1.0, -0.5, n)
+    traj = simulate(pair, tau, phi, 60.0, 0.02)
+    ref, diverged = reference_simulate(pair, tau, phi, 60.0, 0.02)
+    assert traj.xs.shape == ref.shape
+    assert traj.diverged == diverged
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_undelayed_run_spans_several_blocks():
+    pair = _random_pair(3)
+    traj = simulate(pair, 0.0, [1.0, -1.0, 0.5], 200.0, 0.02)
+    ref, _ = reference_simulate(pair, 0.0, [1.0, -1.0, 0.5], 200.0, 0.02)
+    assert ref.shape[0] - 1 > 2 * 2**SCAN_LEVELS
+    assert traj.xs.shape == ref.shape
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize(
+    "a, b, tau, length",
+    [(1.0, 2.0, 1.0, 7883), (3.0, -1.0, 25.0, 3845), (400.0, 400.0, 0.0, 29), (400.0, 400.0, 1.0, 41), (400.0, 400.0, 5.0, 41)],
+)
+def test_block_scan_truncates_where_the_reference_does(a, b, tau, length):
+    pair = MatrixPair([[a]], [[b]])
+    traj = simulate(pair, tau, [1.0], 200.0, 0.02)
+    ref, diverged = reference_simulate(pair, tau, [1.0], 200.0, 0.02)
+    assert traj.diverged and diverged
+    assert traj.xs.shape[0] == ref.shape[0] == length
+    assert np.all(np.isfinite(traj.xs))
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("tau", [0.0, 0.1, 5.0])
+def test_simulate_is_deterministic(tau):
+    pair = _random_pair(3)
+    first = simulate(pair, tau, [1.0, -1.0, 0.5], 30.0, 0.02)
+    second = simulate(pair, tau, [1.0, -1.0, 0.5], 30.0, 0.02)
+    assert np.array_equal(first.xs, second.xs)
+
+
 def test_adjusted_step_divides_delay():
     assert _adjusted_step(1.0, 0.3) == (0.25, 4)
     assert _adjusted_step(1.0, 0.25) == (0.25, 4)
@@ -94,6 +174,21 @@ def test_simulate_input_validation():
         simulate(SCALAR_PAIR, -1.0, [1.0], 10.0, 0.1)
     with pytest.raises(ContractError):
         simulate(SCALAR_PAIR, 5.0, [1.0], 1.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "tau, horizon, h, name",
+    [(0.0, 10.0, math.nan, "step"), (0.0, 10.0, math.inf, "step"), (math.nan, 10.0, 0.1, "tau"), (math.inf, math.inf, 0.1, "tau"), (0.0, math.inf, 0.1, "horizon"), (1.0, math.nan, 0.1, "horizon")],
+)
+def test_simulate_rejects_non_finite_arguments(tau, horizon, h, name):
+    with pytest.raises(ContractError, match=name):
+        simulate(SCALAR_PAIR, tau, [1.0], horizon, h)
+
+
+@pytest.mark.parametrize("tau, horizon, h", [(0.0, 1e12, 0.02), (1e-6, 200.0, 0.02), (1e300, 1e300, 1e-10)])
+def test_simulate_caps_the_grid(tau, horizon, h):
+    with pytest.raises(SizeGuardError, match=str(MAX_GRID_VALUES)):
+        simulate(SCALAR_PAIR, tau, [1.0], horizon, h)
 
 
 def test_divergence_is_flagged_and_truncated():
