@@ -398,7 +398,13 @@ def witness_soundness(log: WitnessLog) -> dict:
 
 
 def correlation_bound(seed: int, cases: int = 50) -> dict:
-    """Closed-form extremal value against the brute-force grid."""
+    """Closed-form extremal value against the brute-force grid.
+
+    The oracle sweeps its 201^3 grid once per grid size and reduces it to the
+    smallest and largest feasible y*z per grid value x, which is exact
+    because its computed |c*x + d*y*z| is monotone in y*z; each case then
+    costs O(201).
+    """
     rng = np.random.default_rng([seed, 7])
     failures = 0
     for _ in range(cases):

@@ -12,6 +12,7 @@ at.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -427,27 +428,47 @@ def correlation_form_bound(c: float, d: float) -> float:
     return max(abs(float(c)), abs(float(c) + float(d)))
 
 
-def correlation_form_bound_oracle(c: float, d: float, grid_step: float = 0.01) -> float:
-    """Brute-force grid maximum of |c*x + d*y*z| over the correlation region.
-
-    Serves as an independent check on correlation_form_bound; the grid always
-    contains the exact attainment points (corners and axis points), so the
-    result matches the closed form up to arithmetic rounding.
-    """
-    if not 0.0 < grid_step <= 0.1:
-        raise ContractError("grid_step must lie in (0, 0.1]")
-    npts = int(round(2.0 / grid_step)) + 1
+@functools.lru_cache(maxsize=8)
+def _correlation_grid_table(npts: int) -> np.ndarray:
+    """One sweep of the npts^3 grid over [-1, 1]^3: one row (x, smallest
+    feasible y*z, largest feasible y*z) per grid value x that has a feasible
+    (y, z). Odd npts puts (0, 0, 0) on the grid, so the table is never
+    empty. It is read-only, since the cache hands it to every caller."""
     g = np.linspace(-1.0, 1.0, npts)
     yy, zz = np.meshgrid(g, g)
     yz = yy * zz
     ss = yy * yy + zz * zz
-    best = 0.0
+    rows = []
     for x in g:
         feasible = 1.0 - (x * x + ss) + 2.0 * x * yz >= 0.0
         if np.any(feasible):
-            vals = np.abs(c * x + d * yz[feasible])
-            best = max(best, float(vals.max()))
-    return best
+            w = yz[feasible]
+            rows.append((x, w.min(), w.max()))
+    table = np.array(rows)
+    table.flags.writeable = False
+    return table
+
+
+def correlation_form_bound_oracle(c: float, d: float, grid_step: float = 0.01) -> float:
+    """Brute-force grid maximum of |c*x + d*y*z| over the correlation region.
+
+    Serves as an independent check on correlation_form_bound: every grid
+    point goes through the feasibility test and the closed form is not used.
+    The grid has an odd number of points per axis, so it always contains the
+    exact attainment points (corners and axis points), and the result
+    matches the closed form up to arithmetic rounding.
+
+    The grid is swept once per grid size, not once per call. For fixed c, x
+    and d the computed value fl(c*x + fl(d*w)) is monotone in w, because
+    round-to-nearest is monotone, so its largest magnitude over the feasible
+    w = y*z of one x is reached at the smallest or the largest of them. The
+    result is bitwise the maximum over every feasible grid point.
+    """
+    if not 0.0 < grid_step <= 0.1:
+        raise ContractError("grid_step must lie in (0, 0.1]")
+    xs, lo, hi = _correlation_grid_table(2 * int(round(1.0 / grid_step)) + 1).T
+    cx = c * xs
+    return float(np.maximum(np.abs(cx + d * lo), np.abs(cx + d * hi)).max())
 
 
 def evaluate_class(pair: MatrixPair) -> ClassVerdict:

@@ -92,7 +92,7 @@ def _adjusted_step(tau: float, h: float) -> tuple[float, int]:
     nearest = round(ratio)
     if nearest >= 1 and abs(ratio - nearest) <= GRID_SNAP_RTOL * max(ratio, 1.0):
         return h, int(nearest)
-    m = math.ceil(ratio - GRID_SNAP_RTOL)
+    m = max(1, math.ceil(ratio - GRID_SNAP_RTOL))
     return tau / m, m
 
 

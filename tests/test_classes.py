@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from riccstab import acceptance, classes
 from riccstab.classes import (
     CHAIN_3X3,
     FAN_IN_3X3,
@@ -189,6 +190,63 @@ def test_correlation_oracle_attains_bound_on_grid():
 def test_correlation_oracle_includes_cube_corner():
     value = correlation_form_bound_oracle(1.0, 3.0, 0.1)
     assert value == pytest.approx(4.0, abs=1e-12)
+
+
+def reference_correlation_form_bound_oracle(c, d, grid_step):
+    """Per-x form of correlation_form_bound_oracle: one feasibility mask and
+    one maximum of |c*x + d*y*z| over the feasible (y, z) per grid value x."""
+    npts = int(round(2.0 / grid_step)) + 1
+    g = np.linspace(-1.0, 1.0, npts)
+    yy, zz = np.meshgrid(g, g)
+    yz = yy * zz
+    ss = yy * yy + zz * zz
+    best = 0.0
+    for x in g:
+        feasible = 1.0 - (x * x + ss) + 2.0 * x * yz >= 0.0
+        if np.any(feasible):
+            vals = np.abs(c * x + d * yz[feasible])
+            best = max(best, float(vals.max()))
+    return best
+
+
+def _oracle_cases():
+    rng = np.random.default_rng(808)
+    cases = [(1.0, -0.5), (1.0, 3.0), (-2.0, 1.0), (0.5, -0.5), (-1e-3, 1e-3)]
+    for _ in range(7):
+        c, d = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, np.log10(3.0), 2)
+        cases.append((float(c), float(d)))
+    return cases
+
+
+@pytest.mark.parametrize("grid_step", [0.1, 0.05, 0.02, 0.01])
+def test_correlation_oracle_matches_reference_loop(grid_step):
+    for c, d in _oracle_cases():
+        got = correlation_form_bound_oracle(c, d, grid_step)
+        assert got == reference_correlation_form_bound_oracle(c, d, grid_step), (c, d)
+
+
+@pytest.mark.parametrize("grid_step", [0.095, 0.03])
+def test_correlation_oracle_grid_contains_axis_point(grid_step):
+    # |c| > |c + d| is attained only at (x, y, z) = (sign(c), 0, 0), which an
+    # even-sized grid misses
+    for c, d in [(1.0, -0.5), (-2.5, 1.5), (0.3, -0.1), (-1.0, 1.9)]:
+        assert correlation_form_bound_oracle(c, d, grid_step) == correlation_form_bound(c, d)
+
+
+def test_correlation_oracle_sweeps_grid_once_per_size(monkeypatch):
+    calls = []
+    meshgrid = np.meshgrid
+
+    def counting_meshgrid(*args, **kwargs):
+        calls.append(len(args[0]))
+        return meshgrid(*args, **kwargs)
+
+    monkeypatch.setattr(np, "meshgrid", counting_meshgrid)
+    classes._correlation_grid_table.cache_clear()
+    assert acceptance.correlation_bound(0)["passed"]
+    assert calls == [201]
+    assert acceptance.correlation_bound(0)["passed"]
+    assert calls == [201]
 
 
 def test_classify_and_condition_agree_on_solver_hard_case():

@@ -153,6 +153,7 @@ def test_input_errors_exit_one(tmp_path, capsys):
         (["--tau", "inf"], "tau"),
         (["--tau", "nan"], "tau"),
         (["--horizon", "1e12"], "MAX_GRID_VALUES"),
+        (["--tau", "1e-12"], "MAX_GRID_VALUES"),
     ],
 )
 def test_simulate_rejects_unusable_grid_arguments(tmp_path, capsys, flags, name):

@@ -185,7 +185,7 @@ def test_simulate_rejects_non_finite_arguments(tau, horizon, h, name):
         simulate(SCALAR_PAIR, tau, [1.0], horizon, h)
 
 
-@pytest.mark.parametrize("tau, horizon, h", [(0.0, 1e12, 0.02), (1e-6, 200.0, 0.02), (1e300, 1e300, 1e-10)])
+@pytest.mark.parametrize("tau, horizon, h", [(0.0, 1e12, 0.02), (1e-6, 200.0, 0.02), (1e300, 1e300, 1e-10), (1e-12, 10.0, 0.02)])
 def test_simulate_caps_the_grid(tau, horizon, h):
     with pytest.raises(SizeGuardError, match=str(MAX_GRID_VALUES)):
         simulate(SCALAR_PAIR, tau, [1.0], horizon, h)
