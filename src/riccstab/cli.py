@@ -105,12 +105,15 @@ def _solve_options(data: dict, args) -> SolveOptions:
 
 def _sim_params(data: dict, args) -> tuple[list[float], float, float]:
     opts = data.get("options") or {}
+    tau = data.get("tau", [0.0])
     if args.tau is not None:
         taus = [float(part) for part in args.tau.split(",") if part.strip() != ""]
-    elif isinstance(data.get("tau"), list):
-        taus = [float(t) for t in data["tau"]]
+    elif isinstance(tau, list):
+        taus = [float(t) for t in tau]
+    elif isinstance(tau, (int, float)) and not isinstance(tau, bool):
+        taus = [float(tau)]
     else:
-        taus = [0.0]
+        raise RiccstabError(f"tau must be a number or a list of numbers, got {json.dumps(tau)}")
     if not taus:
         raise RiccstabError("empty delay list")
     horizon = float(args.horizon if args.horizon is not None else opts.get("horizon", 60.0))
@@ -183,16 +186,25 @@ def _cmd_transform(data: dict, args) -> int:
     return _verdict_exit(verdict)
 
 
-def _csv_path(base: str, tau: float, multiple: bool) -> str:
-    if not multiple:
-        return base
+def _csv_paths(base: str, taus: list[float]) -> list[str]:
+    """One CSV path per delay: base itself for one delay, else
+    {stem}_tau{tau:g}{suffix}; delays that would share a file are refused."""
+    if len(taus) == 1:
+        return [base]
     path = Path(base)
-    return str(path.with_name(f"{path.stem}_tau{tau:g}{path.suffix or '.csv'}"))
+    owners: dict[str, float] = {}
+    for tau in taus:
+        name = str(path.with_name(f"{path.stem}_tau{tau:g}{path.suffix or '.csv'}"))
+        if name in owners:
+            raise RiccstabError(f"--out {base}: delays {owners[name]!r} and {tau!r} would both write {name}")
+        owners[name] = tau
+    return list(owners)
 
 
 def _cmd_simulate(data: dict, args) -> int:
     pair = _problem_pair(data)
     taus, horizon, step = _sim_params(data, args)
+    csv_paths = _csv_paths(args.out, taus) if args.out is not None and args.format == "json" else None
     verdict = solve_diagonal(pair, _solve_options(data, args))
     cert = verdict.certificate if verdict.status == Verdict.FEASIBLE else None
     phi = np.ones(pair.n)
@@ -215,9 +227,9 @@ def _cmd_simulate(data: dict, args) -> int:
         else:
             export_csv(trajectory, args.out, lk=lk)
     else:
-        if args.out is not None:
-            for tau, (trajectory, lk) in zip(taus, trajectories):
-                export_csv(trajectory, _csv_path(args.out, tau, len(taus) > 1), lk=lk)
+        if csv_paths is not None:
+            for path, (trajectory, lk) in zip(csv_paths, trajectories):
+                export_csv(trajectory, path, lk=lk)
         payload = {
             "certificate_status": verdict.status,
             "reports": [report.to_json() for report in reports],

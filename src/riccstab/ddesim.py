@@ -4,10 +4,12 @@ Simulates dx/dt = A x(t) + B x(t - tau) from a constant initial function by
 classical RK4 on a grid the delay falls on exactly. Each step is one affine
 map of the current and the delayed state; since the delayed states of the
 next d + 1 steps are already on the grid, each block of d + 1 steps is
-computed at once by a doubling prefix scan. It also monitors the
-quadratic functional V(t) = x'Px + integral of x'Qx over the trailing delay
-window when a certificate is supplied. The functional is the one whose decay
-the certificate inequality guarantees.
+computed at once by a doubling prefix scan. A block is then a linear map G
+of the block before it; while that lifted state is small, the whole run is
+the powers of G applied by doubling, and otherwise it goes block by block.
+It also monitors the quadratic functional V(t) = x'Px + integral of x'Qx
+over the trailing delay window when a certificate is supplied. The
+functional is the one whose decay the certificate inequality guarantees.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ FINAL_NORM_FRACTION = 1e-3
 LK_STEP_FRACTION = 1e-6
 GRID_SNAP_RTOL = 1e-9
 MAX_GRID_VALUES = 10**8
-SCAN_LEVELS = 12  # a scan block holds at most 2**SCAN_LEVELS steps, so its scratch stays small next to the grid
+SCAN_LEVELS = 12  # a scan holds at most 2**SCAN_LEVELS steps and a doubling as many blocks, so scratch and powers stay small
+_LIFT_MAX_VALUES = 96  # largest lifted state n * (d + 1) of a delayed run filled by doubling (see simulate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +122,87 @@ def _rk4_maps(a: np.ndarray, b: np.ndarray, h: float) -> tuple[np.ndarray, np.nd
     return m, n
 
 
+def _doubling_powers(base: np.ndarray, count: int) -> list[np.ndarray]:
+    """base^1, base^2, base^4, ... for a doubling over count rows: 2**len
+    reaches count, or SCAN_LEVELS powers are kept; the list ends before the
+    first power that is not finite."""
+    powers = []
+    power = base
+    while 2 ** len(powers) < count and len(powers) < SCAN_LEVELS and np.all(np.isfinite(power)):
+        powers.append(power)
+        power = power @ power
+    return powers
+
+
+def _scan(z: np.ndarray, powers: list[np.ndarray]) -> None:
+    """In-place doubling prefix scan along the second-to-last axis:
+    z[j] += z[j-o] (M')^o for o = 1, 2, 4, ..., which leaves z[j] as the
+    sum over i <= j of z[i] (M')^(j-i)."""
+    size = z.shape[-2]
+    for level, power in enumerate(powers):
+        o = 2**level
+        if o >= size:
+            break
+        z[..., o:, :] += z[..., :-o, :] @ power
+
+
+def _block_map(m: np.ndarray, n: np.ndarray, powers: list[np.ndarray], b: int) -> np.ndarray:
+    """The nb x nb matrix G with (x[k+1], ..., x[k+b]) = (x[k-d], ..., x[k]) G,
+    blocks flattened row by row: the in-block scan run on all nb basis
+    vectors at once."""
+    nb = b * m.shape[0]
+    basis = np.eye(nb).reshape(nb, b, m.shape[0])
+    z = basis @ n.T
+    z[:, 0] += basis[:, -1] @ m.T
+    _scan(z, powers)
+    return z.reshape(nb, nb)
+
+
+def _run_lifted(grid: np.ndarray, powers: list[np.ndarray], b: int, rows: int) -> int:
+    """Fill the grid, viewed as blocks of b rows, with Y[j] = Y[0] G^j from
+    the powers G^(2^l); returns the first row that is not kept, or rows.
+
+    Each chunk of at most 2**len(powers) blocks starts from the last block of
+    the one before and fills blocks [2^l, 2^(l+1)) of itself from blocks
+    [0, 2^l) by one product with G^(2^l), written straight into the grid.
+    """
+    ys = grid.reshape(grid.shape[0] // b, -1)
+    span = 2 ** len(powers)
+    for start in range(0, ys.shape[0] - 1, span - 1):
+        end = min(start + span, ys.shape[0])
+        for level, power in enumerate(powers):
+            o = 2**level
+            if start + o >= end:
+                break
+            np.matmul(ys[start : min(start + o, end - o)], power, out=ys[start + o : min(start + 2 * o, end)])
+        first = (start + 1) * b
+        # a row that is not finite has norm inf or nan, which fails <=
+        kept = np.linalg.norm(grid[first : min(end * b, rows)], axis=1) <= DIVERGENCE_NORM
+        if not kept.all():
+            return first + int(np.argmin(kept))
+    return rows
+
+
+def _run_blocks(grid: np.ndarray, m: np.ndarray, n: np.ndarray, powers: list[np.ndarray], delay: int, rows: int) -> int:
+    """Fill the grid one block of at most d + 1 steps at a time, each by the
+    in-block scan; returns the first row that is not kept, or rows."""
+    xs = grid[delay:rows]
+    steps = rows - delay - 1
+    block = min(delay + 1, 2 ** len(powers))
+    for k in range(0, steps, block):
+        size = min(block, steps - k)
+        z = grid[k : k + size] @ n.T
+        z[0] += m @ xs[k]
+        _scan(z, powers)
+        kept = np.linalg.norm(z, axis=1) <= DIVERGENCE_NORM
+        if not kept.all():
+            first = int(np.argmin(kept))
+            xs[k + 1 : k + 1 + first] = z[:first]
+            return delay + k + 1 + first
+        xs[k + 1 : k + 1 + size] = z
+    return rows
+
+
 def simulate(pair: MatrixPair, tau: float, phi, horizon: float, h: float) -> DelayTrajectory:
     """Integrate the delay system from a constant initial function.
 
@@ -129,12 +213,27 @@ def simulate(pair: MatrixPair, tau: float, phi, horizon: float, h: float) -> Del
     reduces exactly to RK4 on that system.
 
     Each step is the affine map x[k+1] = M x[k] + N x[k-d], and the next
-    d + 1 states read only delayed states already on the grid, so they are
-    computed together: with z[j] = N x[k+j-d] (plus M x[k] in z[0]), the
+    b = d + 1 states read only delayed states already on the grid, so they
+    are computed together: with z[j] = N x[k+j-d] (plus M x[k] in z[0]), the
     prefix scan z[j] += M^o z[j-o] for o = 1, 2, 4, ... turns z[j] into
-    x[k+1+j] in about log2(d + 1) array operations. With tau = 0 a block is
-    the whole run. Blocks hold at most 2**SCAN_LEVELS steps. The grid (delay + steps + 1 rows of n values) is capped at
-    MAX_GRID_VALUES.
+    x[k+1+j] in about log2(b) array operations. A block of b states thus
+    depends linearly on the block before it alone: Y[j+1] = Y[j] G for one
+    nb x nb matrix G, which the same scan builds from the nb basis vectors
+    at once. While the lifted state of a delayed run holds at most
+    _LIFT_MAX_VALUES = 96 values, the whole run is Y[j] = Y[0] G^j, filled
+    by doubling in about log2(steps / b) products; tau = 0 is b = 1 with
+    G = M and always runs this way. Larger lifted states go block by block:
+    forming G and its powers costs O((nb)^3) per power there, while a block
+    of d + 1 steps already carries its call overhead. No product of the
+    doubling costs more than squaring G at the cap (96^3 multiply-adds):
+    OpenBLAS runs products under about 2^20 on the calling thread, and
+    larger ones, handed to a second thread, took 2-3 times as long in bursts
+    on a 2-core host. A power that is not finite ends the power list, and so
+    do SCAN_LEVELS and that product size: a doubling covers at most
+    2**SCAN_LEVELS blocks and a scan as many steps. A run whose G is not
+    finite goes block by block, where the scan shortens its blocks instead.
+    The grid (delay + steps + 1 rows of n values, rounded up to whole
+    blocks) is capped at MAX_GRID_VALUES.
     """
     for name, value in (("step", h), ("delay tau", tau), ("horizon", horizon)):
         if not math.isfinite(value):
@@ -158,41 +257,25 @@ def simulate(pair: MatrixPair, tau: float, phi, horizon: float, h: float) -> Del
         m, n = _rk4_maps(pair.a, pair.b, step)
     _require_grid(delay + horizon / step + 1.0, pair.n)
     steps = max(1, math.ceil(horizon / step - GRID_SNAP_RTOL))
-    hist = np.empty((delay + steps + 1, pair.n))
-    hist[: delay + 1] = x0
-    xs = hist[delay:]
-    block = delay + 1 if delay else steps
-    diverged = False
+    b = delay + 1
+    rows = delay + steps + 1
+    grid = np.empty((-(-rows // b) * b, pair.n))
+    grid[:b] = x0
     with np.errstate(over="ignore", invalid="ignore"):
-        # (M')^1, (M')^2, (M')^4, ... for the scan's offsets; a power that is
-        # not finite ends the list, and the block is shortened to match
-        powers = []
-        power = m.T
-        while 2 ** len(powers) < block and len(powers) < SCAN_LEVELS and np.all(np.isfinite(power)):
-            powers.append(power)
-            power = power @ power
-        block = min(block, 2 ** len(powers))
-        for k in range(0, steps, block):
-            size = min(block, steps - k)
-            # without a delay N is zero and the rows ahead of k are not written yet
-            z = hist[k : k + size] @ n.T if delay else np.zeros((size, pair.n))
-            z[0] += m @ xs[k]
-            for level, power in enumerate(powers):
-                o = 2**level
-                if o >= size:
-                    break
-                z[o:] += z[:-o] @ power
-            # a row that is not finite has norm inf or nan, which fails <=
-            kept = np.linalg.norm(z, axis=1) <= DIVERGENCE_NORM
-            if not kept.all():
-                first = int(np.argmin(kept))
-                xs[k + 1 : k + 1 + first] = z[:first]
-                xs = xs[: k + 1 + first]
-                diverged = True
-                break
-            xs[k + 1 : k + 1 + size] = z
+        scan_powers = _doubling_powers(m.T, b)
+        lifted = []
+        if (delay == 0 or pair.n * b <= _LIFT_MAX_VALUES) and 2 ** len(scan_powers) >= b:
+            # a product of the doubling has fewer rows than cover, so none
+            # costs more than squaring a block map at the cap
+            cover = max(2, _LIFT_MAX_VALUES**3 // (pair.n * b) ** 2)
+            lifted = _doubling_powers(_block_map(m, n, scan_powers, b), min(grid.shape[0] // b, cover))
+        if lifted:
+            stop = _run_lifted(grid, lifted, b, rows)
+        else:
+            stop = _run_blocks(grid, m, n, scan_powers, delay, rows)
+    xs = grid[delay:stop]
     ts = step * np.arange(xs.shape[0])
-    return DelayTrajectory(ts, xs, tau, step, x0, diverged)
+    return DelayTrajectory(ts, xs, tau, step, x0, stop < rows)
 
 
 def lk_functional(trajectory: DelayTrajectory, cert: RiccatiCertificate) -> np.ndarray:

@@ -118,6 +118,35 @@ def test_simulate_reports_and_csv(tmp_path, capsys):
         assert text.startswith("t,x_1,V\n")
 
 
+@pytest.mark.parametrize(
+    "taus, clash",
+    [("1,1.0000001", "1.0 and 1.0000001"), ("1,1", "1.0 and 1.0"), ("0,2,1,2.0000001", "2.0 and 2.0000001")],
+)
+def test_simulate_refuses_delays_that_share_a_csv_file(tmp_path, capsys, taus, clash):
+    problem = write(tmp_path, FEASIBLE)
+    code, out, err = run_main(capsys, ["simulate", problem, "--tau", taus, "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    assert out == ""
+    assert "--out" in err and clash in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
+
+
+def test_simulate_reads_a_scalar_tau_from_the_problem_file(tmp_path, capsys):
+    problem = write(tmp_path, {"A": [[-2.0]], "B": [[0.5]], "tau": 1})
+    code, out, _ = run_main(capsys, ["simulate", problem, "--horizon", "20"])
+    assert code == 0
+    assert [r["tau"] for r in json.loads(out)["reports"]] == [1.0]
+
+
+@pytest.mark.parametrize("tau", ["1", True, None, {"value": 1}])
+def test_simulate_rejects_a_tau_that_is_not_a_number_or_list(tmp_path, capsys, tau):
+    problem = write(tmp_path, {"A": [[-2.0]], "B": [[0.5]], "tau": tau})
+    code, out, err = run_main(capsys, ["simulate", problem])
+    assert code == 1
+    assert out == ""
+    assert "tau" in err
+
+
 def test_simulate_csv_stdout_single_tau(tmp_path, capsys):
     code, out, _ = run_main(
         capsys,

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from riccstab import ddesim
 from riccstab.ddesim import (
     DIVERGENCE_NORM,
     GRID_SNAP_RTOL,
@@ -107,13 +108,30 @@ def _random_pair(n):
     return MatrixPair(a, b)
 
 
+def _block_map_calls(monkeypatch):
+    calls = []
+    block_map = ddesim._block_map
+
+    def counting_block_map(*args):
+        calls.append(args[-1])
+        return block_map(*args)
+
+    monkeypatch.setattr(ddesim, "_block_map", counting_block_map)
+    return calls
+
+
 @pytest.mark.parametrize("n", [1, 3, 8])
-@pytest.mark.parametrize("tau", [0.0, 0.02, 0.1, 1.0, 5.0, 25.0])
-def test_block_scan_matches_per_step_reference(n, tau):
+@pytest.mark.parametrize("tau", [0.0, 0.02, 0.04, 0.1, 0.3, 1.0, 5.0, 25.0])
+def test_block_scan_matches_per_step_reference(monkeypatch, n, tau):
+    calls = _block_map_calls(monkeypatch)
     pair = _random_pair(n)
     phi = np.linspace(1.0, -0.5, n)
     traj = simulate(pair, tau, phi, 60.0, 0.02)
     ref, diverged = reference_simulate(pair, tau, phi, 60.0, 0.02)
+    # the lifted state n * (d + 1) decides the path; tau = 0.3 at n = 8 is
+    # 128 values, just above the cap
+    b = traj.delay_steps + 1
+    assert calls == ([b] if n * b <= ddesim._LIFT_MAX_VALUES else [])
     assert traj.xs.shape == ref.shape
     assert traj.diverged == diverged
     assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -130,7 +148,17 @@ def test_undelayed_run_spans_several_blocks():
 
 @pytest.mark.parametrize(
     "a, b, tau, length",
-    [(1.0, 2.0, 1.0, 7883), (3.0, -1.0, 25.0, 3845), (400.0, 400.0, 0.0, 29), (400.0, 400.0, 1.0, 41), (400.0, 400.0, 5.0, 41)],
+    [
+        (1.0, 2.0, 1.0, 7883),
+        (3.0, -1.0, 25.0, 3845),
+        (400.0, 400.0, 0.0, 29),
+        (400.0, 400.0, 1.0, 41),
+        (400.0, 400.0, 5.0, 41),
+        (400.0, 400.0, 0.1, 41),
+        (1.0, 2.0, 0.1, 4575),
+        (1.0, 2.0, 0.02, 4059),
+        (3.0, -1.0, 0.3, 4525),
+    ],
 )
 def test_block_scan_truncates_where_the_reference_does(a, b, tau, length):
     pair = MatrixPair([[a]], [[b]])
@@ -139,6 +167,71 @@ def test_block_scan_truncates_where_the_reference_does(a, b, tau, length):
     assert traj.diverged and diverged
     assert traj.xs.shape[0] == ref.shape[0] == length
     assert np.all(np.isfinite(traj.xs))
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("horizon", [60.02, 60.06, 60.1])
+def test_lifted_run_ending_mid_block(horizon):
+    pair = _random_pair(3)
+    traj = simulate(pair, 0.1, [1.0, -1.0, 0.5], horizon, 0.02)
+    ref, diverged = reference_simulate(pair, 0.1, [1.0, -1.0, 0.5], horizon, 0.02)
+    assert (traj.delay_steps + ref.shape[0]) % (traj.delay_steps + 1) != 0
+    assert traj.xs.shape == ref.shape
+    assert not traj.diverged and not diverged
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_block_map_that_is_not_finite_runs_block_by_block(monkeypatch):
+    # the second mode is never excited, but its growth over one block of six
+    # steps overflows, so the block map holds inf and cannot be applied
+    calls = _block_map_calls(monkeypatch)
+    pair = MatrixPair(np.diag([-1.0, 1e15]), np.diag([0.1, 0.0]))
+    traj = simulate(pair, 0.1, [1.0, 0.0], 60.0, 0.02)
+    ref, diverged = reference_simulate(pair, 0.1, [1.0, 0.0], 60.0, 0.02)
+    assert calls == [6]
+    assert not traj.diverged and not diverged
+    assert traj.xs.shape == ref.shape
+    assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_lifted_run_work_grows_logarithmically(monkeypatch):
+    calls = _block_map_calls(monkeypatch)
+    products = []
+    matmul = np.matmul
+
+    def counting_matmul(*args, **kwargs):
+        products.append(args[0].shape[0])
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+    pair = _random_pair(3)
+    counts = []
+    for horizon in (60.0, 600.0):
+        products.clear()
+        simulate(pair, 0.1, [1.0, -1.0, 0.5], horizon, 0.02)
+        counts.append(len(products))
+        # every block after the first is one row of exactly one product
+        assert sum(products) == (5 + round(horizon / 0.02)) // 6
+    # 501 and 5001 blocks of six steps; one doubling covers 2**SCAN_LEVELS
+    # blocks, so the longer run takes a second one over the last 906
+    assert calls == [6, 6]
+    assert counts == [math.ceil(math.log2(501)), SCAN_LEVELS + math.ceil(math.log2(906))]
+
+
+def test_lifted_products_cost_no_more_than_squaring_a_map_at_the_cap(monkeypatch):
+    shapes = []
+    matmul = np.matmul
+
+    def recording_matmul(*args, **kwargs):
+        shapes.append(args[0].shape + args[1].shape[1:])
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", recording_matmul)
+    pair = _random_pair(8)
+    traj = simulate(pair, 0.1, np.ones(8), 600.0, 0.02)
+    ref, _ = reference_simulate(pair, 0.1, np.ones(8), 600.0, 0.02)
+    assert {cols for _, _, cols in shapes} == {48}
+    assert max(rows * inner * cols for rows, inner, cols in shapes) <= ddesim._LIFT_MAX_VALUES**3
     assert np.abs(traj.xs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
