@@ -1,18 +1,21 @@
-"""P-matrix tests by principal-minor enumeration.
+"""P-matrix tests by recursive Schur complements.
 
 A real square matrix is a P-matrix when every principal minor is strictly
-positive. Minors are enumerated by subset size, then lexicographically, and
-evaluated in stacks of up to MINOR_CHUNK submatrices, one call per stack:
-closed forms for sizes 1 and 2, LU factorization with partial pivoting above
-(its sign alone, from slogdet, when any positive minor passes).
-The enumeration is exponential, so inputs are capped at n = 14.
+positive. Every principal minor is a product of Schur-complement pivots
+(Tsatsomeros & Li, BIT 40, 2000; Griffin & Tsatsomeros, LAA 419, 2006):
+for a subset alpha of {0..k-1} whose Schur complement on the indices
+k..n-1 is S, det A[alpha + {k}] = det A[alpha] * S[0, 0], and the
+complement of alpha + {k} on k+1..n-1 is S[1:, 1:] - S[1:, 0] S[0, 1:] / S[0, 0].
+is_p_matrix adds one index at a time and updates the complements of all
+live subsets as one stack: n batched rank-one updates and O(2^n) scalar
+work for the 2^n - 1 minors, and no determinant call but for the minor it
+reports. The walk is still exponential, so inputs are capped at n = 14.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
@@ -21,7 +24,6 @@ from .matcore import as_positive_vector, as_square
 
 MAX_P_SIZE = 14
 MINOR_BAND = 1e-12
-MINOR_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -41,14 +43,6 @@ class PMatrixReport:
     marginal: bool = False
 
 
-@lru_cache(maxsize=None)
-def _subset_chunks(n: int, k: int) -> tuple[np.ndarray, ...]:
-    """The k-subsets of range(n) in lexicographic order, MINOR_CHUNK rows per array."""
-    table = np.array(list(combinations(range(n), k)), dtype=np.int8)
-    table.flags.writeable = False
-    return tuple(table[i : i + MINOR_CHUNK] for i in range(0, len(table), MINOR_CHUNK))
-
-
 def stacked_minors(stack: np.ndarray) -> np.ndarray:
     """Determinants of a (..., k, k) stack: closed forms for k <= 2, else one
     np.linalg.det call, which gives each matrix the value it would get alone."""
@@ -66,28 +60,121 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     A minor counts as positive only when it exceeds band * scale, where scale
     is the product of row maxima of the submatrix (a crude determinant
     magnitude estimate). Minors in (0, band * scale] fail with the marginal
-    flag; pass band=0.0 to accept any positive minor, in which case minors
-    of size 3 and up are decided by the sign from slogdet, so that c * M gets
-    M's verdict however small c is. Subsets are visited by size, then
-    lexicographically, and the first failure is reported with its det value.
+    flag; pass band=0.0 to accept any positive minor. Subsets are ranked by
+    size, then lexicographically, and the first failure is reported with its
+    det value (stacked_minors of the submatrix).
+
+    The diagonal is tested first, every other minor by the walk of the module
+    docstring on M scaled by a power of two to unit magnitude. The band test
+    compares sum of log pivots minus sum of log row maxima with log band
+    (band=0: the sign of the pivot), so no minor or scale under- or
+    overflows and c * M gets M's verdict however small or large c is. A
+    pivot that is not finite is never read as a sign: slogdet decides that
+    minor, and LAPACK forms the complement grown from it again from the
+    submatrix.
     """
     a = as_square(m)
     n = a.shape[0]
     if n > MAX_P_SIZE:
         raise SizeGuardError(f"P-matrix enumeration capped at n={MAX_P_SIZE}, got {n}")
-    for size in range(1, n + 1):
-        for subsets in _subset_chunks(n, size):
-            subs = a[subsets[:, :, None], subsets[:, None, :]]
-            if band == 0.0 and size >= 3:
-                # the sign alone decides, and slogdet's survives where det rounds to 0.0
-                failing = np.flatnonzero(np.linalg.slogdet(subs)[0] <= 0.0)
-            else:
-                limit = band * np.abs(subs).max(axis=2).prod(axis=1) if band else 0.0
-                failing = np.flatnonzero(stacked_minors(subs) <= limit)
-            if failing.size:
-                subset, minor = tuple(subsets[failing[0]].tolist()), float(stacked_minors(subs[failing[0]]))
-                return PMatrixReport(False, subset, minor, marginal=minor > 0.0)
-    return PMatrixReport(is_p=True)
+    if not 0.0 <= band < 1.0:
+        raise ContractError(f"minor band must be in [0, 1), got {band}")
+    d = a.diagonal()
+    if d.min() <= 0.0:  # the 1 x 1 minors come first, and fail below any band < 1 only when <= 0
+        subset = np.flatnonzero(d <= 0.0)[:1]
+    else:
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the walk checks finiteness
+            subset = _first_failing_subset(np.ldexp(a, 1 - math.frexp(np.abs(a).max())[1]), band)
+        if subset is None:
+            return PMatrixReport(is_p=True)
+    minor = float(stacked_minors(a[subset[:, None], subset]))
+    return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=minor > 0.0)
+
+
+def _first_failing_subset(a: np.ndarray, band: float) -> np.ndarray | None:
+    """Indices of the first subset, by size then lexicographically, whose minor fails.
+
+    A subset of size s is keyed by s * 2^n minus the sum of 2^(n-1-i) over
+    its indices i, so keys order subsets by size, then lexicographically.
+    At step k, row r of the stack is a live subset alpha of {0..k-1}, with
+    key keys[r], holding the Schur complement of a[alpha] on k..n-1. A
+    subset whose minor fails is dropped: every subset grown from it is
+    larger, so comes later. Once a failure F is found, a subset is dropped
+    unless it comes before F minus its largest index: whatever grows from
+    any other subset comes after F. A value that is not finite reaches a
+    pivot, unless a pivot that is not finite divides it; so only pivots are
+    checked, and the complements grown from such a pivot are formed again.
+    """
+    n = a.shape[0]
+    full = 1 << n
+    stack, keys = a[None], np.zeros(1, dtype=np.int64)
+    first = bound = None
+    if band:
+        log_band = np.log(band)
+        bits = full >> np.arange(1, n + 1)
+        log_abs = np.log(np.abs(a))  # log 0 = -inf never sets a row maximum
+        log_det = np.zeros(1)
+        log_rowmax = np.full((n, 1), -np.inf)  # column r: max log|a_ij| over j in alpha, each row i
+    for k in range(n):
+        step = full - (full >> (k + 1))  # key of alpha + {k} minus key of alpha
+        pivots = stack[:, 0, 0]
+        child_keys = keys + step
+        log_pivots = np.log(pivots)
+        ok = np.isfinite(log_pivots)  # finite and > 0
+        if band:
+            child_log_det = log_det + log_pivots
+            child_rowmax = np.maximum(log_rowmax, log_abs[:, k, None])
+            members = (bits[: k + 1, None] & -child_keys) != 0
+            log_scale = np.where(members, child_rowmax[: k + 1], 0.0).sum(axis=0)
+            ok &= child_log_det - log_scale > log_band
+        unsure = ()
+        if not ok.all():
+            unsure = np.flatnonzero(~np.isfinite(pivots))  # never read a pivot that is not finite as a sign
+            for r in unsure:
+                idx = _indices(child_keys[r], n)
+                sign, log_abs_det = np.linalg.slogdet(a[idx[:, None], idx])
+                ok[r] = sign > 0.0 and (not band or log_abs_det - log_scale[r] > log_band)
+                if band:
+                    child_log_det[r] = log_abs_det
+            if not ok.all():
+                found = child_keys[~ok].min()
+                if first is None or found < first:
+                    first, bound = found, found - step
+        if k == n - 1:
+            break
+        grown = stack[:, 1:, 1:] - stack[:, 1:, :1] * (stack[:, :1, 1:] / stack[:, :1, :1])
+        for r in unsure:
+            if ok[r]:
+                grown[r] = _schur_complement(a, child_keys[r], k + 1)
+        stack = np.concatenate((stack[:, 1:, 1:], grown))
+        keys = np.concatenate((keys, child_keys))
+        if band:
+            log_det = np.concatenate((log_det, child_log_det))
+            log_rowmax = np.concatenate((log_rowmax, child_rowmax), axis=1)
+        if first is not None:
+            live = keys < bound
+            live[len(ok) :] &= ok
+            stack, keys = stack[live], keys[live]
+            if band:
+                log_det, log_rowmax = log_det[live], log_rowmax[:, live]
+            if not keys.size:
+                break
+    return None if first is None else _indices(first, n)
+
+
+def _indices(key: int, n: int) -> np.ndarray:
+    """The indices of the subset with this key (see _first_failing_subset)."""
+    return np.array([i for i in range(n) if -int(key) >> (n - 1 - i) & 1])
+
+
+def _schur_complement(a: np.ndarray, key: int, start: int) -> np.ndarray:
+    """Complement of a subset of {0..start-1} on start..n-1, by one LAPACK solve."""
+    idx = _indices(key, a.shape[0])
+    rest = a[start:, start:]
+    try:
+        return rest - a[start:, idx] @ np.linalg.solve(a[idx[:, None], idx], a[idx, start:])
+    except np.linalg.LinAlgError:  # the solve met a NaN: the pivots grown from here go to slogdet
+        return np.full_like(rest, np.nan)
 
 
 def nonpositive_minor(m) -> PMatrixReport | None:

@@ -1,7 +1,7 @@
 """P-matrix test, sign witnesses, and diagonal conjugation invariance."""
 
+from fractions import Fraction
 from itertools import combinations
-from math import ceil, comb
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from riccstab.errors import ContractError, SizeGuardError
 from riccstab.pmatrix import (
     MAX_P_SIZE,
     MINOR_BAND,
-    MINOR_CHUNK,
     PMatrixReport,
     dpd_conjugate,
     is_p_matrix,
@@ -126,7 +125,7 @@ def test_dpd_invariance_random():
         assert is_p_matrix(m).is_p == is_p_matrix(dpd_conjugate(m, d)).is_p
 
 
-@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+@pytest.mark.parametrize("scale", [1e-120, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e120])
 def test_minor_band_is_scale_invariant(scale):
     """The band scales with the submatrix, so c * M gets M's verdict."""
     for m in (np.eye(3), [[2.0, -1.0], [-1.0, 2.0]]):
@@ -154,7 +153,7 @@ def _reference_cases(rng, n):
     yield near
 
 
-@pytest.mark.parametrize("n", range(1, 11))
+@pytest.mark.parametrize("n", range(1, MAX_P_SIZE + 1))
 def test_stacked_walk_matches_per_minor_reference(n):
     rng = np.random.default_rng(100 + n)
     for m in _reference_cases(rng, n):
@@ -226,7 +225,7 @@ def test_nonpositive_minor_sign_survives_determinant_range(n, c):
 
 @pytest.mark.parametrize("n, c", [(3, 1e-120), (MAX_P_SIZE, 1e-25), (MAX_P_SIZE, 1e-100)])
 def test_strict_walk_accepts_tiny_identity(n, c):
-    # det of the k >= 3 minors rounds to 0.0; the sign from slogdet does not
+    # det of the k >= 3 minors rounds to 0.0; the pivots of the walk, scaled to unit size, do not
     assert is_p_matrix(c * np.eye(n), band=0.0).is_p
     assert nonpositive_minor(c * np.eye(n)) is None
     report = is_p_matrix(-c * np.eye(n), band=0.0)
@@ -241,16 +240,116 @@ def test_strict_walk_reports_the_failing_determinant():
     assert report.failing_minor == np.linalg.det(m) == 0.0  # the det value, however it rounds
 
 
-def test_largest_p_walk_makes_one_det_call_per_stack(monkeypatch):
+def test_pivot_that_is_not_finite_is_never_read_as_a_sign():
+    """The complement of {0} holds 1 / 1e-310, which overflows, so the pivot
+    of {0, 1} is inf and the one of {0, 1, 2} computed from it would be
+    inf - inf. The first is decided from its submatrix (det 1), the second
+    from a complement formed again by LAPACK (det -1.1)."""
+    m = [[1e-310, 1.0, 1.0], [-1.0, 1.0, 3.0], [-1.0, 0.1, 1.0]]
+    for report in (is_p_matrix(m), is_p_matrix(m, band=0.0), nonpositive_minor(m)):
+        assert not report.is_p and not report.marginal
+        assert report.failing_subset == (0, 1, 2)
+        assert report.failing_minor == pytest.approx(-1.1)
+
+
+def exact_minors(m):
+    """Every principal minor of a float matrix, exactly, as a Fraction."""
+    n = len(m)
+    minors = []
+    for size in range(1, n + 1):
+        for subset in combinations(range(n), size):
+            rows = [[Fraction(m[i][j]) for j in subset] for i in subset]
+            det = Fraction(1)
+            for c in range(size):
+                pivot = next((r for r in range(c, size) if rows[r][c] != 0), None)
+                if pivot is None:
+                    det = Fraction(0)
+                    break
+                if pivot != c:
+                    rows[c], rows[pivot], det = rows[pivot], rows[c], -det
+                det *= rows[c][c]
+                for r in range(c + 1, size):
+                    f = rows[r][c] / rows[c][c]
+                    rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+            minors.append(det)
+    return minors
+
+
+def test_complement_grown_from_a_pivot_that_is_not_finite_is_formed_again():
+    """Every minor is positive. The pivot of {0, 1} is
+    1e-100 + 1e-300 * (1 / 1e-310), about 1e10, but 1 / 1e-310 overflows, so
+    it comes out inf. Read as positive and used to grow the complement of
+    {0, 1}, it would leave inf * 0 = NaN for {0, 1, 2}, whose determinant is
+    below the float range, so that slogdet of the submatrix rounds a pivot
+    of its LU to 0.0. Decided by slogdet of its 2 x 2 submatrix instead, with
+    the complement formed again from it by LAPACK, the walk finds every
+    pivot positive."""
+    m = [[1e-310, -1.0, 0.0], [1e-300, 1e-100, 0.0], [1.0, 1e-200, 1e-200]]
+    assert all(minor > 0 for minor in exact_minors(m))
+    assert np.linalg.slogdet(m)[0] == 0.0
+    assert is_p_matrix(m, band=0.0).is_p
+    assert nonpositive_minor(m) is None
+
+
+def test_failure_found_later_in_the_walk_can_come_first():
+    """The walk meets {1, 2} (index 2) before {0, 3} (index 3), but (0, 3)
+    comes first in the order of the report."""
+    m = [[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 2.0, 0.0], [0.0, 2.0, 1.0, 0.0], [2.0, 0.0, 0.0, 1.0]]
+    for band in (0.0, MINOR_BAND):
+        report = is_p_matrix(m, band=band)
+        assert report.failing_subset == (0, 3) and report.failing_minor == -3.0
+
+
+def test_walk_scales_subnormal_input_to_unit_size():
+    """M = [[3, 1], [1, x]] with 3x - 1 = 1.1e-13 is P. At c = 2^-1031 the
+    entries of c * M are subnormal, and c / 3 rounds up on their grid, so an
+    unscaled update would give the pivot 0.0 for {0, 1}."""
+    c = 2.0**-1031
+    m = np.array([[3.0 * c, c], [c, 2932031007403 * 2.0**-1074]])
+    assert is_p_matrix(m, band=0.0).is_p
+    assert nonpositive_minor(m) is None
+
+
+def test_minor_band_is_tested_where_minors_underflow():
+    """Each minor of a positive diagonal matrix equals its scale, however far
+    apart the entries are; here the full minor, 2.4e-359, and its scale are
+    below the float range, and their logs are not."""
+    m = np.diag([2.0, 3e-120, 4e-240])
+    assert is_p_matrix(m) == PMatrixReport(is_p=True)
+
+
+def test_minor_band_scales_with_the_rows_of_the_submatrix():
+    """Row 0's entries of 1e-6 lie in columns 1 and 2 but enter the scale of
+    no minor of rows {1, 2}: that minor, 1e-13, is marginal."""
+    m = [[1.0, 1e-6, 1e-6], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
+    report = is_p_matrix(m)
+    assert report.failing_subset == (1, 2) and report.marginal
+
+
+@pytest.mark.parametrize("band", [-1e-12, 1.0, np.nan])
+def test_band_outside_zero_to_one_is_refused(band):
+    with pytest.raises(ContractError, match="band"):
+        is_p_matrix(np.eye(2), band=band)
+
+
+@pytest.mark.parametrize("band", [0.0, MINOR_BAND])
+def test_largest_walk_evaluates_only_the_reported_minor(monkeypatch, band):
+    """The walk takes every minor from Schur pivots: a P-matrix of the largest
+    size costs no determinant call, a failing one a single det call for the
+    minor it reports."""
     calls = []
-    det = np.linalg.det
+    for name in ("det", "slogdet"):
+        real = getattr(np.linalg, name)
 
-    def counting_det(stack):
-        calls.append(stack.shape)
-        return det(stack)
+        def counting(stack, _real=real, _name=name):
+            calls.append((_name, np.shape(stack)))
+            return _real(stack)
 
-    monkeypatch.setattr(np.linalg, "det", counting_det)
+        monkeypatch.setattr(np.linalg, name, counting)
     n = MAX_P_SIZE
-    m = np.eye(n) + 0.01 * np.ones((n, n))
-    assert is_p_matrix(m).is_p
-    assert 0 < len(calls) <= sum(ceil(comb(n, k) / MINOR_CHUNK) for k in range(1, n + 1))
+    assert is_p_matrix(np.eye(n) + 0.01 * np.ones((n, n)), band=band).is_p
+    assert calls == []
+    t = 0.08  # (1 + t) I - t J: only the full minor is negative
+    report = is_p_matrix((1.0 + t) * np.eye(n) - t * np.ones((n, n)), band=band)
+    assert report.failing_subset == tuple(range(n))
+    assert calls == [("det", (n, n))]
