@@ -8,8 +8,10 @@ k..n-1 is S, det A[alpha + {k}] = det A[alpha] * S[0, 0], and the
 complement of alpha + {k} on k+1..n-1 is S[1:, 1:] - S[1:, 0] S[0, 1:] / S[0, 0].
 is_p_matrix adds one index at a time and updates the complements of all
 live subsets as one stack: n batched rank-one updates and O(2^n) scalar
-work for the 2^n - 1 minors, and no determinant call but for the minor it
-reports. The walk is still exponential, so inputs are capped at n = 14.
+work for the 2^n - 1 minors. The updates do not pivot, so a running bound
+on their rounding error decides which pivots the walk may read; a minor
+whose pivot it may not is taken from its submatrix. The walk is still
+exponential, so inputs are capped at n = 14.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ from .matcore import as_positive_vector, as_square
 
 MAX_P_SIZE = 14
 MINOR_BAND = 1e-12
+PIVOT_TRUST = 2.0**-10  # largest error bound, relative to its pivot, at which the walk reads a pivot
+_EPS = 2.0**-53  # unit roundoff
+_HUGE = 2.0**900  # pivots are clamped here, so that one that overflowed never counts as read
 
 
 @dataclass(frozen=True)
@@ -65,13 +70,14 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     det value (stacked_minors of the submatrix).
 
     The diagonal is tested first, every other minor by the walk of the module
-    docstring on M scaled by a power of two to unit magnitude. The band test
-    compares sum of log pivots minus sum of log row maxima with log band
-    (band=0: the sign of the pivot), so no minor or scale under- or
-    overflows and c * M gets M's verdict however small or large c is. A
-    pivot that is not finite is never read as a sign: slogdet decides that
-    minor, and LAPACK forms the complement grown from it again from the
-    submatrix.
+    docstring on M, scaled up by a power of two when its largest entry is
+    below 1. The band test compares sum of log pivots minus sum of log row
+    maxima with log band (band=0: the sign of the pivot), so no minor or
+    scale under- or overflows and c * M gets M's verdict however small or
+    large c is. A pivot is read only when a bound on its rounding error is
+    at most PIVOT_TRUST times its size; the minor of any other pivot (one
+    lost to cancellation, or not finite), and every minor grown from it, is
+    taken from its submatrix, as the per-minor walk would.
     """
     a = as_square(m)
     n = a.shape[0]
@@ -83,31 +89,50 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     if d.min() <= 0.0:  # the 1 x 1 minors come first, and fail below any band < 1 only when <= 0
         subset = np.flatnonzero(d <= 0.0)[:1]
     else:
+        top = float(np.abs(a).max())
+        shift = max(1 - math.frexp(top)[1], 0)  # up only: exact, as no entry can underflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the walk checks finiteness
-            subset = _first_failing_subset(np.ldexp(a, 1 - math.frexp(np.abs(a).max())[1]), band)
+            subset = _first_failing_subset(np.ldexp(a, shift), band, math.ldexp(top, shift))
         if subset is None:
             return PMatrixReport(is_p=True)
     minor = float(stacked_minors(a[subset[:, None], subset]))
     return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=minor > 0.0)
 
 
-def _first_failing_subset(a: np.ndarray, band: float) -> np.ndarray | None:
+def _first_failing_subset(a: np.ndarray, band: float, top: float) -> np.ndarray | None:
     """Indices of the first subset, by size then lexicographically, whose minor fails.
 
     A subset of size s is keyed by s * 2^n minus the sum of 2^(n-1-i) over
     its indices i, so keys order subsets by size, then lexicographically.
-    At step k, row r of the stack is a live subset alpha of {0..k-1}, with
-    key keys[r], holding the Schur complement of a[alpha] on k..n-1. A
+    At step k, slice r of the stack (its last axis) is a live subset alpha
+    of {0..k-1}, with key keys[r], holding the Schur complement of a[alpha]
+    on k..n-1; the subset axis is last so that the reductions over the
+    pivot's row and column run along whole contiguous rows of the stack. A
     subset whose minor fails is dropped: every subset grown from it is
     larger, so comes later. Once a failure F is found, a subset is dropped
     unless it comes before F minus its largest index: whatever grows from
-    any other subset comes after F. A value that is not finite reaches a
-    pivot, unless a pivot that is not finite divides it; so only pivots are
-    checked, and the complements grown from such a pivot are formed again.
+    any other subset comes after F.
+
+    The update pivots on the diagonal, so cancellation can leave a pivot
+    with no correct digit. growth[r] is the product, over the updates that
+    formed the complement of alpha, of (1 + A/|c|)(1 + B/|c|), where c is the
+    update's pivot and A, B are the largest other entries of its column and
+    row. One update multiplies a bound on the error of the entries by
+    (1 + A/|c|)(1 + B/|c|)(1 + 4 PIVOT_TRUST), as long as its pivot was read,
+    and adds at most 4u times a bound on their size that grows by the same
+    factor (u the unit roundoff, top = max|a| >= 1 the first size bound).
+    So after k steps every entry of the complement is within
+    k * 4u * top * (1 + 4 PIVOT_TRUST)^k * growth[r] of its exact value, and
+    the walk reads a pivot only when that is at most PIVOT_TRUST * |pivot|.
+    The minor of any other pivot is taken from its submatrix by
+    _signed_log_minors, and so is every minor grown from it (growth inf).
+    The row of the empty subset holds entries of a itself: its pivots, the
+    diagonal, are exact and known to be positive.
     """
     n = a.shape[0]
     full = 1 << n
-    stack, keys = a[None], np.zeros(1, dtype=np.int64)
+    stack, keys, growth = a[:, :, None], np.zeros(1, dtype=np.int64), np.ones(1)
+    unit_error = 4.0 * _EPS * top
     first = bound = None
     if band:
         log_band = np.log(band)
@@ -117,44 +142,56 @@ def _first_failing_subset(a: np.ndarray, band: float) -> np.ndarray | None:
         log_rowmax = np.full((n, 1), -np.inf)  # column r: max log|a_ij| over j in alpha, each row i
     for k in range(n):
         step = full - (full >> (k + 1))  # key of alpha + {k} minus key of alpha
-        pivots = stack[:, 0, 0]
+        pivots = stack[0, 0]
         child_keys = keys + step
-        log_pivots = np.log(pivots)
-        ok = np.isfinite(log_pivots)  # finite and > 0
         if band:
-            child_log_det = log_det + log_pivots
+            child_log_det = log_det + np.log(pivots)
             child_rowmax = np.maximum(log_rowmax, log_abs[:, k, None])
-            members = (bits[: k + 1, None] & -child_keys) != 0
-            log_scale = np.where(members, child_rowmax[: k + 1], 0.0).sum(axis=0)
-            ok &= child_log_det - log_scale > log_band
-        unsure = ()
-        if not ok.all():
-            unsure = np.flatnonzero(~np.isfinite(pivots))  # never read a pivot that is not finite as a sign
-            for r in unsure:
-                idx = _indices(child_keys[r], n)
-                sign, log_abs_det = np.linalg.slogdet(a[idx[:, None], idx])
-                ok[r] = sign > 0.0 and (not band or log_abs_det - log_scale[r] > log_band)
-                if band:
-                    child_log_det[r] = log_abs_det
-            if not ok.all():
-                found = child_keys[~ok].min()
-                if first is None or found < first:
-                    first, bound = found, found - step
+        unsure = None
+        if k:  # at k = 0 the pivots are the diagonal: positive, exact and above the band
+            limit = PIVOT_TRUST / (k * unit_error * (1.0 + 4.0 * PIVOT_TRUST) ** k)
+            good = limit * np.minimum(pivots, _HUGE) >= growth  # positive and read; False for NaN
+            if band:
+                members = (bits[: k + 1, None] & -child_keys) != 0
+                log_scale = np.where(members, child_rowmax[: k + 1], 0.0).sum(axis=0)
+                ok = child_log_det - log_scale > log_band  # False for a NaN log (pivot < 0)
+                good &= ok
+            else:
+                ok = good
+            if not good.all():
+                if not band:
+                    ok = pivots > 0.0
+                sure = growth <= limit * np.minimum(np.abs(pivots), _HUGE)
+                sure[0] |= keys[0] == 0  # alpha empty: the pivot is a diagonal entry, exact and positive
+                if not sure.all():
+                    unsure = np.flatnonzero(~sure)
+                    sign, log_abs_det = _signed_log_minors(a, child_keys[unsure])
+                    ok[unsure] = sign > 0.0
+                    if band:
+                        ok[unsure] &= log_abs_det - log_scale[unsure] > log_band
+                        child_log_det[unsure] = log_abs_det
+                if not ok.all():
+                    found = child_keys[~ok].min()
+                    if first is None or found < first:
+                        first, bound = found, found - step
         if k == n - 1:
             break
-        grown = stack[:, 1:, 1:] - stack[:, 1:, :1] * (stack[:, :1, 1:] / stack[:, :1, :1])
-        for r in unsure:
-            if ok[r]:
-                grown[r] = _schur_complement(a, child_keys[r], k + 1)
-        stack = np.concatenate((stack[:, 1:, 1:], grown))
+        column = stack[1:, 0] / pivots
+        grown = stack[1:, 1:] - column[:, None] * stack[0, 1:]
+        row = np.abs(stack[0, 1:]).max(axis=0) / pivots  # of a failing pivot: dropped below
+        child_growth = growth * (1.0 + np.abs(column).max(axis=0)) * (1.0 + row)
+        if unsure is not None:
+            child_growth[unsure] = np.inf  # so every minor grown from one is taken from its submatrix
+        stack = np.concatenate((stack[1:, 1:], grown), axis=2)
         keys = np.concatenate((keys, child_keys))
+        growth = np.concatenate((growth, child_growth))
         if band:
             log_det = np.concatenate((log_det, child_log_det))
             log_rowmax = np.concatenate((log_rowmax, child_rowmax), axis=1)
         if first is not None:
             live = keys < bound
             live[len(ok) :] &= ok
-            stack, keys = stack[live], keys[live]
+            stack, keys, growth = stack[:, :, live], keys[live], growth[live]
             if band:
                 log_det, log_rowmax = log_det[live], log_rowmax[:, live]
             if not keys.size:
@@ -167,14 +204,37 @@ def _indices(key: int, n: int) -> np.ndarray:
     return np.array([i for i in range(n) if -int(key) >> (n - 1 - i) & 1])
 
 
-def _schur_complement(a: np.ndarray, key: int, start: int) -> np.ndarray:
-    """Complement of a subset of {0..start-1} on start..n-1, by one LAPACK solve."""
-    idx = _indices(key, a.shape[0])
-    rest = a[start:, start:]
-    try:
-        return rest - a[start:, idx] @ np.linalg.solve(a[idx[:, None], idx], a[idx, start:])
-    except np.linalg.LinAlgError:  # the solve met a NaN: the pivots grown from here go to slogdet
-        return np.full_like(rest, np.nan)
+def _signed_log_minors(a: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log |det| of the submatrices of a on the subsets with these keys.
+
+    Each submatrix has its rows, then its columns, scaled up by powers of two
+    to a largest entry of at least 1 (exact, as nothing can underflow; the
+    log is corrected after). A 2 x 2 determinant is then taken in closed
+    form, as by stacked_minors: one of its two products is at least 1, so
+    underflow cannot flip its sign, while LAPACK's LU of
+    [[1e-310, 1], [1e-310, 1e-100]] can. Larger ones come from slogdet, one
+    call per subset size.
+    """
+    n = a.shape[0]
+    members = ((1 << n) >> np.arange(1, n + 1) & -keys[:, None]) != 0
+    sizes = members.sum(axis=1)
+    sign, log_abs_det = np.empty(len(keys)), np.empty(len(keys))
+    for s in np.unique(sizes):
+        rows = np.flatnonzero(sizes == s)
+        idx = np.nonzero(members[rows])[1].reshape(-1, s)
+        subs = a[idx[:, :, None], idx[:, None, :]]
+        shift = np.zeros(len(rows))
+        for axis in (2, 1):
+            up = np.maximum(1 - np.frexp(np.abs(subs).max(axis=axis))[1], 0)
+            subs = np.ldexp(subs, np.expand_dims(up, axis))
+            shift += up.sum(axis=1)
+        if s <= 2:
+            minors = stacked_minors(subs)
+            sign[rows], log_abs_det[rows] = np.sign(minors), np.log(np.abs(minors))
+        else:
+            sign[rows], log_abs_det[rows] = np.linalg.slogdet(subs)
+        log_abs_det[rows] -= shift * np.log(2.0)
+    return sign, log_abs_det
 
 
 def nonpositive_minor(m) -> PMatrixReport | None:

@@ -243,8 +243,9 @@ def test_strict_walk_reports_the_failing_determinant():
 def test_pivot_that_is_not_finite_is_never_read_as_a_sign():
     """The complement of {0} holds 1 / 1e-310, which overflows, so the pivot
     of {0, 1} is inf and the one of {0, 1, 2} computed from it would be
-    inf - inf. The first is decided from its submatrix (det 1), the second
-    from a complement formed again by LAPACK (det -1.1)."""
+    inf - inf. No pivot grown from {0} has a finite error bound, so each of
+    those minors is taken from its submatrix: {0, 1} and {0, 2} (det 1
+    each) and {0, 1, 2} (det -1.1)."""
     m = [[1e-310, 1.0, 1.0], [-1.0, 1.0, 3.0], [-1.0, 0.1, 1.0]]
     for report in (is_p_matrix(m), is_p_matrix(m, band=0.0), nonpositive_minor(m)):
         assert not report.is_p and not report.marginal
@@ -275,20 +276,62 @@ def exact_minors(m):
     return minors
 
 
-def test_complement_grown_from_a_pivot_that_is_not_finite_is_formed_again():
+def test_minors_grown_from_an_overflowing_pivot_are_taken_from_their_submatrices():
     """Every minor is positive. The pivot of {0, 1} is
     1e-100 + 1e-300 * (1 / 1e-310), about 1e10, but 1 / 1e-310 overflows, so
-    it comes out inf. Read as positive and used to grow the complement of
-    {0, 1}, it would leave inf * 0 = NaN for {0, 1, 2}, whose determinant is
-    below the float range, so that slogdet of the submatrix rounds a pivot
-    of its LU to 0.0. Decided by slogdet of its 2 x 2 submatrix instead, with
-    the complement formed again from it by LAPACK, the walk finds every
-    pivot positive."""
+    it comes out inf, and every minor grown from {0} is taken from its
+    submatrix. That of {0, 1, 2} has a determinant below the float range, so
+    that slogdet of the submatrix as it stands rounds a pivot of its LU to
+    0.0; with its rows and columns first scaled up by powers of two it does
+    not."""
     m = [[1e-310, -1.0, 0.0], [1e-300, 1e-100, 0.0], [1.0, 1e-200, 1e-200]]
     assert all(minor > 0 for minor in exact_minors(m))
     assert np.linalg.slogdet(m)[0] == 0.0
     assert is_p_matrix(m, band=0.0).is_p
     assert nonpositive_minor(m) is None
+
+
+CANCELLING = [
+    # every minor positive; that of {0, 1, 2} is 2^-30 * (1 + 2^-30), its pivot comes out 0.0
+    [[2.0**-30, 1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, 0.5, 0.5 + 2.0**-30]],
+    # the minor of {0, 1, 2} is -2.24e-9, the others positive; its pivot comes out +6.0e-8
+    [
+        [1.5914696024576329e-10, -1.5834672557984086, 0.30784439170360933],
+        [0.37314402803090047, 0.9367456665064732, -0.5796043699170684],
+        [-0.16702193545367036, -0.4192939957842299, 0.25943504480768675],
+    ],
+]
+
+
+@pytest.mark.parametrize("m", CANCELLING)
+def test_pivot_lost_to_cancellation_is_taken_from_its_submatrix(m):
+    """Without pivoting, the complement of {0} has entries of about
+    1 / m[0][0], and the pivot of {0, 1, 2} computed from it keeps no
+    correct digit. The bound on its error exceeds it, so that minor is taken
+    from its submatrix: the walk finds the exact first failure, and its
+    reports are the per-minor reference's at both bands."""
+    subsets = [s for size in (1, 2, 3) for s in combinations(range(3), size)]
+    first = next((s for s, minor in zip(subsets, exact_minors(m)) if minor <= 0), ())
+    strict = is_p_matrix(m, band=0.0)
+    assert strict.failing_subset == first and strict.is_p == (first == ())
+    assert nonpositive_minor(m) == (None if strict.is_p else strict)
+    for band in (0.0, MINOR_BAND):
+        report = is_p_matrix(m, band=band)
+        expected = reference_is_p_matrix(m, band=band)
+        assert report == expected
+        assert repr(report.failing_minor) == repr(expected.failing_minor)
+
+
+def test_subnormal_minor_keeps_its_sign():
+    """The minor of {0, 1} is 1e-310 * 1e-100 - 1e-310, about -1e-310, the
+    first product below the float range. The row ratio 1 / 1e-310 of the walk
+    overflows, so the minor is taken from its submatrix, whose entries are
+    scaled up before its determinant is formed: LAPACK's LU of such a
+    submatrix as it stands can get the sign wrong."""
+    m = [[1e-310, 1.0, 0.0], [1e-310, 1e-100, 0.0], [0.0, 0.0, 1.0]]
+    assert exact_minors(m)[3] < 0
+    for report in (is_p_matrix(m), is_p_matrix(m, band=0.0), nonpositive_minor(m)):
+        assert report == PMatrixReport(False, (0, 1), -1e-310)
 
 
 def test_failure_found_later_in_the_walk_can_come_first():
