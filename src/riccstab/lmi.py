@@ -13,6 +13,11 @@ centering the optimum lies within DEGREE_PER_N * n / kappa below t
 (Boyd, El Ghaoui, Feron & Balakrishnan, Linear Matrix Inequalities in
 System and Control Theory, SIAM 1994; Vandenberghe & Boyd, Semidefinite
 programming, SIAM Review 38, 1996). Deterministic: no random starts.
+
+For small n the cost is the number of numpy calls, so each one is made
+once: a line-search trial builds F(w) once and factors tI - F once, the
+accepted trial's F gives lambda_max and its barrier value is carried to
+the next step, and diagonals are added to in place.
 """
 
 from __future__ import annotations
@@ -38,20 +43,25 @@ class BarrierResult(NamedTuple):
     steps: int
 
 
+def _add_to_diagonal(m: np.ndarray, values) -> None:
+    """m[i, i] += values[i] in place; m must be C-contiguous."""
+    m.reshape(-1)[:: m.shape[1] + 1] += values
+
+
 def _block(v: np.ndarray, w: np.ndarray) -> np.ndarray:
     """F(w) from V = [A B]: S + S' + diag(q, -q) with S = [[PA, PB], [0, 0]]."""
     n = v.shape[0]
     s = np.zeros((2 * n, 2 * n))
     s[:n] = w[:n, None] * v
     f = s + s.T
-    f[np.diag_indices(2 * n)] += np.concatenate([w[n:], -w[n:]])
+    _add_to_diagonal(f, np.concatenate([w[n:], -w[n:]]))
     return f
 
 
-def _chol(v: np.ndarray, t: float, w: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of tI - F(w), or None when it is not positive definite."""
-    g = -_block(v, w)
-    g[np.diag_indices_from(g)] += t
+def _chol(f: np.ndarray, t: float) -> np.ndarray | None:
+    """Cholesky factor of tI - F, or None when it is not positive definite."""
+    g = -f
+    _add_to_diagonal(g, t)
     try:
         return np.linalg.cholesky(g)
     except np.linalg.LinAlgError:
@@ -59,7 +69,7 @@ def _chol(v: np.ndarray, t: float, w: np.ndarray) -> np.ndarray | None:
 
 
 def _barrier(kappa: float, t: float, w: np.ndarray, chol: np.ndarray) -> float:
-    return kappa * t - 2.0 * float(np.log(np.diag(chol)).sum()) - float(np.log(w).sum())
+    return kappa * t - 2.0 * float(np.log(chol.diagonal()).sum()) - float(np.log(w).sum())
 
 
 def _newton_system(v: np.ndarray, kappa: float, w: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -73,18 +83,19 @@ def _newton_system(v: np.ndarray, kappa: float, w: np.ndarray, chol: np.ndarray)
     l, m = vx[:, :n], vx[:, n:]
     k = vx @ v.T
     y = x @ x
-    dx, dy = np.diag(x), np.diag(y)
+    dx, dy = x.diagonal(), y.diagonal()
     p, q = w[:n], w[n:]
-    grad = np.concatenate([[kappa - dx.sum()], 2.0 * np.diag(l) - 1.0 / p, dx[:n] - dx[n:] - 1.0 / q])
+    grad = np.concatenate([[kappa - dx.sum()], 2.0 * l.diagonal() - 1.0 / p, dx[:n] - dx[n:] - 1.0 / q])
     hess = np.empty((2 * n + 1, 2 * n + 1))
     hess[0, 0] = float(np.sum(x * x))
     hess[0, 1 : n + 1] = -2.0 * np.einsum("ij,ji->i", v, y[:, :n])
     hess[0, n + 1 :] = dy[n:] - dy[:n]
     hess[1:, 0] = hess[0, 1:]
-    hess[1 : n + 1, 1 : n + 1] = 2.0 * (l * l.T + k * x11) + np.diag(1.0 / p**2)
+    hess[1 : n + 1, 1 : n + 1] = 2.0 * (l * l.T + k * x11)
     hess[1 : n + 1, n + 1 :] = 2.0 * (l * x11 - m * x12)
     hess[n + 1 :, 1 : n + 1] = hess[1 : n + 1, n + 1 :].T
-    hess[n + 1 :, n + 1 :] = x11 * x11 - x12 * x12 - x12.T * x12.T + x22 * x22 + np.diag(1.0 / q**2)
+    hess[n + 1 :, n + 1 :] = x11 * x11 - x12 * x12 - x12.T * x12.T + x22 * x22
+    hess.reshape(-1)[2 * n + 2 :: 2 * n + 2] += np.concatenate([1.0 / p**2, 1.0 / q**2])  # the log w terms
     return grad, hess
 
 
@@ -98,26 +109,29 @@ def _newton_step(grad: np.ndarray, hess: np.ndarray) -> np.ndarray:
 
 
 def _line_search(
-    v: np.ndarray, kappa: float, t: float, w: np.ndarray, chol: np.ndarray, dz: np.ndarray, slope: float
-) -> tuple[float, np.ndarray, np.ndarray] | None:
-    """Backtracking from the full Newton step to the first point where tI - F
-    is positive definite, w > 0 and the Armijo condition holds, as
-    (t, w, chol); None once the promised decrease is below the rounding of
-    the barrier value, where Armijo would accept a step that moves nothing."""
-    phi = _barrier(kappa, t, w, chol)
+    v: np.ndarray, kappa: float, t: float, w: np.ndarray, phi: float, dz: np.ndarray, slope: float
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray, float] | None:
+    """Backtracking from the full Newton step, from a point with barrier value
+    phi, to the first point where tI - F is positive definite, w > 0 and the
+    Armijo condition holds, as (t, w, chol, F, barrier value); None once the
+    promised decrease is below the rounding of phi, where Armijo would accept
+    a step that moves nothing. Each trial with w > 0 builds F once."""
     step = 1.0
     while phi + ARMIJO * step * slope < phi:
         t_new, w_new = t + step * dz[0], w + step * dz[1:]
-        if np.all(w_new > 0.0):
-            chol_new = _chol(v, t_new, w_new)
-            if chol_new is not None and _barrier(kappa, t_new, w_new, chol_new) <= phi + ARMIJO * step * slope:
-                return t_new, w_new, chol_new
+        if (w_new > 0.0).all():
+            f = _block(v, w_new)
+            chol = _chol(f, t_new)
+            if chol is not None:
+                phi_new = _barrier(kappa, t_new, w_new, chol)
+                if phi_new <= phi + ARMIJO * step * slope:
+                    return t_new, w_new, chol, f, phi_new
         step *= 0.5
     return None
 
 
-def _lmax(v: np.ndarray, w: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(_block(v, w))[-1])
+def _lmax(f: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(f)[-1])
 
 
 def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
@@ -131,28 +145,30 @@ def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
     v = np.hstack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
     n = v.shape[0]
     w = np.ones(2 * n)
-    lam = _lmax(v, w)
+    f = _block(v, w)
+    lam = _lmax(f)
     best = BarrierResult(w[:n], w[n:], lam, 0)
     if lam <= stop:
         return best
     t = lam + 1.0
-    chol = _chol(v, t, w)
+    chol = _chol(f, t)
     linv = np.linalg.inv(chol)
     kappa = float(np.sum(linv * linv))  # tr (tI - F)^-1
     steps = 0
     while steps < max_iter:
+        phi = _barrier(kappa, t, w, chol)  # depends on kappa; the line search carries it within a centering
         while steps < max_iter:
             grad, hess = _newton_system(v, kappa, w, chol)
             dz = _newton_step(grad, hess)
             slope = float(grad @ dz)
             if -0.5 * slope < CENTERED:
                 break
-            accepted = _line_search(v, kappa, t, w, chol, dz, slope)
+            accepted = _line_search(v, kappa, t, w, phi, dz, slope)
             if accepted is None:
                 break  # no progress at working precision: the centering is as good as it gets
-            t, w, chol = accepted
+            t, w, chol, f, phi = accepted
             steps += 1
-            lam = _lmax(v, w)
+            lam = _lmax(f)
             if lam < best.lam:
                 best = BarrierResult(w[:n], w[n:], lam, steps)
             if lam <= stop:

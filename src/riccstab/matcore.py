@@ -29,7 +29,7 @@ def as_matrix(obj) -> np.ndarray:
     m = np.asarray(obj, dtype=float)
     if m.ndim != 2 or m.shape[0] == 0:
         raise DimensionError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ContractError("matrix entries must be finite")
     return m
 
@@ -45,7 +45,7 @@ def as_vector(obj, n: int | None = None) -> np.ndarray:
     v = np.asarray(obj, dtype=float).reshape(-1)
     if v.size == 0:
         raise DimensionError("expected a nonempty vector")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ContractError("vector entries must be finite")
     if n is not None and v.size != n:
         raise DimensionError(f"expected a vector of length {n}, got {v.size}")
@@ -54,7 +54,7 @@ def as_vector(obj, n: int | None = None) -> np.ndarray:
 
 def as_positive_vector(obj, n: int | None = None) -> np.ndarray:
     v = as_vector(obj, n)
-    if np.any(v <= 0.0):
+    if (v <= 0.0).any():
         raise ContractError("vector entries must be strictly positive")
     return v
 
@@ -173,7 +173,11 @@ def proves_negative_definite(m, margin: float = 0.0) -> bool:
     diag(S), the eta term underflow. c is evaluated rounding upward, so the
     float shift is never below it. False means only that the proof failed.
     """
-    a = _require_symmetric(m)
+    return _proves_negative_definite(_require_symmetric(m), margin)
+
+
+def _proves_negative_definite(a: np.ndarray, margin: float) -> bool:
+    """proves_negative_definite on an array _require_symmetric has returned."""
     k = a.shape[0]
     u, eta = 2.0**-53, 2.0**-1074
     g_diag = -np.diag(a)

@@ -67,7 +67,8 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     magnitude estimate). Minors in (0, band * scale] fail with the marginal
     flag; pass band=0.0 to accept any positive minor. Subsets are ranked by
     size, then lexicographically, and the first failure is reported with its
-    det value (stacked_minors of the submatrix).
+    det value (stacked_minors of the submatrix) and marginal set from the
+    sign the walk gave that minor, which holds where the det underflows.
 
     The diagonal is tested first, every other minor by the walk of the module
     docstring on M, scaled up by a power of two when its largest entry is
@@ -87,20 +88,22 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
         raise ContractError(f"minor band must be in [0, 1), got {band}")
     d = a.diagonal()
     if d.min() <= 0.0:  # the 1 x 1 minors come first, and fail below any band < 1 only when <= 0
-        subset = np.flatnonzero(d <= 0.0)[:1]
+        subset, positive = np.flatnonzero(d <= 0.0)[:1], False
     else:
         top = float(np.abs(a).max())
         shift = max(1 - math.frexp(top)[1], 0)  # up only: exact, as no entry can underflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the walk checks finiteness
-            subset = _first_failing_subset(np.ldexp(a, shift), band, math.ldexp(top, shift))
-        if subset is None:
+            found = _first_failing_subset(np.ldexp(a, shift), band, math.ldexp(top, shift))
+        if found is None:
             return PMatrixReport(is_p=True)
+        subset, positive = found
     minor = float(stacked_minors(a[subset[:, None], subset]))
-    return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=minor > 0.0)
+    return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=positive)
 
 
-def _first_failing_subset(a: np.ndarray, band: float, top: float) -> np.ndarray | None:
-    """Indices of the first subset, by size then lexicographically, whose minor fails.
+def _first_failing_subset(a: np.ndarray, band: float, top: float) -> tuple[np.ndarray, bool] | None:
+    """Indices of the first subset, by size then lexicographically, whose minor
+    fails, and whether that minor is positive (so failed the band only).
 
     A subset of size s is keyed by s * 2^n minus the sum of 2^(n-1-i) over
     its indices i, so keys order subsets by size, then lexicographically.
@@ -161,19 +164,22 @@ def _first_failing_subset(a: np.ndarray, band: float, top: float) -> np.ndarray 
             if not good.all():
                 if not band:
                     ok = pivots > 0.0
+                positive = pivots > 0.0
                 sure = growth <= limit * np.minimum(np.abs(pivots), _HUGE)
                 sure[0] |= keys[0] == 0  # alpha empty: the pivot is a diagonal entry, exact and positive
                 if not sure.all():
                     unsure = np.flatnonzero(~sure)
                     sign, log_abs_det = _signed_log_minors(a, child_keys[unsure])
+                    positive[unsure] = sign > 0.0
                     ok[unsure] = sign > 0.0
                     if band:
                         ok[unsure] &= log_abs_det - log_scale[unsure] > log_band
                         child_log_det[unsure] = log_abs_det
                 if not ok.all():
-                    found = child_keys[~ok].min()
-                    if first is None or found < first:
-                        first, bound = found, found - step
+                    failed = np.flatnonzero(~ok)
+                    r = failed[child_keys[failed].argmin()]
+                    if first is None or child_keys[r] < first:
+                        first, bound, first_positive = child_keys[r], child_keys[r] - step, bool(positive[r])
         if k == n - 1:
             break
         column = stack[1:, 0] / pivots
@@ -196,7 +202,7 @@ def _first_failing_subset(a: np.ndarray, band: float, top: float) -> np.ndarray 
                 log_det, log_rowmax = log_det[live], log_rowmax[:, live]
             if not keys.size:
                 break
-    return None if first is None else _indices(first, n)
+    return None if first is None else (_indices(first, n), first_positive)
 
 
 def _indices(key: int, n: int) -> np.ndarray:

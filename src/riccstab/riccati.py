@@ -15,6 +15,7 @@ All functions are pure and deterministic for a fixed seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -22,7 +23,14 @@ import numpy as np
 
 from .errors import ContractError, NumericError
 from .lmi import minimize
-from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite, sym_spectrum
+from .matcore import (
+    BlockSymmetric,
+    _proves_negative_definite,
+    _require_symmetric,
+    as_positive_vector,
+    as_square,
+    sym_spectrum,
+)
 from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
@@ -32,6 +40,17 @@ DEFAULT_SAMPLES = 64
 WITNESS_PSD_TOL = 1e-10
 SIGN_ENUM_MAX_N = 6
 SCHUR_SIGN_TOL = 1e-9
+
+
+_UNITS = {1.0: 1.0, -1.0: -1.0}
+
+
+def _json_floats(v: np.ndarray) -> list[float]:
+    """The entries of a vector as Python floats. Entries equal to +-1, all of
+    a sign witness's and the weights a certificate keeps at 1, share two
+    float objects instead of taking one each, so that reports kept in bulk
+    stay small."""
+    return [_UNITS.get(x, x) for x in v.tolist()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,8 +91,8 @@ class RiccatiCertificate:
 
     def to_json(self) -> dict:
         return {
-            "P": [float(x) for x in self.p],
-            "Q": [float(x) for x in self.q],
+            "P": _json_floats(self.p),
+            "Q": _json_floats(self.q),
             "margin": float(self.margin),
         }
 
@@ -91,7 +110,7 @@ class CorrelationWitness:
 
     def to_json(self) -> dict:
         return {
-            "witness_S": [[float(x) for x in row] for row in self.s.full],
+            "witness_S": [_json_floats(row) for row in self.s.full],
             "failing_subset": [int(i) for i in self.p_report.failing_subset],
             "failing_minor": float(self.p_report.failing_minor),
         }
@@ -101,7 +120,10 @@ class CorrelationWitness:
 class Verdict:
     """Solver outcome: Feasible with a certificate, Refuted with a witness,
     or Unknown with the best margin seen (negative when everything looked
-    infeasible). samples_tried counts candidate witness matrices examined."""
+    infeasible). samples_tried counts the candidate witness matrices covered
+    up to the witness: a screen that finds none covers 2 + (5^n - 1) / 2 at
+    n <= 6 (the two extremes and the rank-one sign matrices, whose images
+    have 3^n - 1 distinct minors) and 2 above; each Gram sample adds one."""
 
     status: str
     certificate: RiccatiCertificate | None = None
@@ -156,6 +178,13 @@ class SolveOptions:
     max_iter: int = DEFAULT_MAX_ITER
     samples: int = DEFAULT_SAMPLES
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ContractError(f"tol must be finite and >= 0, got {self.tol}")
+        for name in ("max_iter", "samples"):
+            if getattr(self, name) < 0:
+                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     def stop_value(self) -> float:
         """lambda_max of the scaled block at which the solver stops: clearly feasible."""
         return min(-1e-3, -10.0 * self.tol)
@@ -172,8 +201,7 @@ def riccati_form(pair: MatrixPair, p, q) -> np.ndarray:
     """The n x n form A'P + PA + Q + P B Q^{-1} B' P for diagonal P, Q."""
     pv = as_positive_vector(p, pair.n)
     qv = as_positive_vector(q, pair.n)
-    pb = pv[:, None] * pair.b
-    return pair.a.T * pv[None, :] + pv[:, None] * pair.a + np.diag(qv) + (pb / qv[None, :]) @ pb.T
+    return _riccati_full(pair.a, pair.b, pv, qv)
 
 
 def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple[bool, float]:
@@ -188,14 +216,16 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
     """
     if margin_req < 0.0:
         raise ContractError("margin_req must be >= 0")
-    lam_r = sym_spectrum(riccati_form(pair, p, q)).abscissa
-    block = block_lmi(pair, p, q).full
-    lam_b = sym_spectrum(block).abscissa
+    pv = as_positive_vector(p, pair.n)
+    qv = as_positive_vector(q, pair.n)
+    lam_r = sym_spectrum(_riccati_full(pair.a, pair.b, pv, qv)).abscissa
+    block = _require_symmetric(_block_full(pair.a, pair.b, pv, qv))  # once, for both tests below
+    lam_b = float(np.linalg.eigvalsh(block)[-1])
     if lam_r * lam_b < 0.0 and min(abs(lam_r), abs(lam_b)) > SCHUR_SIGN_TOL:
         raise NumericError(
             f"Riccati and block forms disagree in sign: {lam_r:.3e} vs {lam_b:.3e}"
         )
-    ok = lam_r < -margin_req and lam_b < -margin_req and proves_negative_definite(block, margin_req)
+    ok = lam_r < -margin_req and lam_b < -margin_req and _proves_negative_definite(block, margin_req)
     return ok, -lam_b
 
 
@@ -225,6 +255,11 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
     return CorrelationWitness(s=blk, p_report=report)
 
 
+def _riccati_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    pb = p[:, None] * b
+    return a.T * p[None, :] + p[:, None] * a + np.diag(q) + (pb / q[None, :]) @ pb.T
+
+
 def _block_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = a.shape[0]
     top_left = a.T * p[None, :] + p[:, None] * a
@@ -239,14 +274,24 @@ def _block_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> n
 
 
 def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
-    """Exhaustive search over rank-one sign witnesses S = s s', s in {+-1}^{2n}.
+    """Exhaustive search over rank-one sign witnesses S = s s', s = (d, e) in {+-1}^{2n}.
 
-    Works subset by subset: the principal minor of -(A o dd' + B o de') on
-    index set alpha depends only on the signs restricted to alpha, and equals
-    (-1)^k det(D_a) det(A_a D_a + B_a E_a), evaluated for all subsets and sign
-    patterns of one size as one stack. Returns the full sign matrix of the
-    first violation (subsets by size then lexicographic, sign patterns in
-    binary counter order) and the number of candidates examined.
+    The image of S is -(A o dd' + B o de') = -D(A + B Sigma)D with
+    Sigma = diag(d o e), so its principal minor on a k-subset alpha is
+    (-1)^k det(A_a + B_a Sigma_a): it depends only on sigma = d o e on alpha,
+    and all subsets together take 3^n - 1 distinct values. Each size is one
+    stack of its 2^k sign patterns sigma on all its subsets. The values are
+    bit for bit those of the minor written per (d, e),
+    (-1)^k det(D_a) det(A_a D_a + B_a E_a): flipping the signs of columns
+    leaves the choices of LU with partial pivoting alone and flips the signs
+    of the columns of U.
+
+    The count is still that of the (d, e) candidates, d_0 = +1 (the global
+    flip is redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In
+    their order (subsets by size then lexicographic, then d, then e, both in
+    binary counter order) the first violation has d = 1 and e = sigma.
+    Returns its full sign matrix and the number of candidates up to it, or
+    None and the total.
     """
     n = pair.n
     if n > SIGN_ENUM_MAX_N:
@@ -255,34 +300,37 @@ def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
     tried = 0
     for size in range(1, n + 1):
         parity = -1.0 if size % 2 else 1.0
-        e = np.array(list(product((1.0, -1.0), repeat=size)))
-        d = e[: e.shape[0] // 2]  # leading sign +1: the global flip is redundant
+        sigma = np.array(list(product((1.0, -1.0), repeat=size)))
         subsets = np.array(list(combinations(range(n), size)))
-        rows, cols = subsets[:, None, None, :, None], subsets[:, None, None, None, :]
-        stack = a[rows, cols] * d[:, None, None, :] + b[rows, cols] * e[:, None, :]
-        minors = (parity * d.prod(axis=1))[:, None] * stacked_minors(stack)
+        rows, cols = subsets[:, None, :, None], subsets[:, None, None, :]
+        minors = parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma[:, None, :])
+        per_subset = sigma.shape[0] ** 2 // 2  # (d, e) pairs with d_0 = +1
         hits = np.flatnonzero(minors <= 0.0)
         if hits.size:
-            si, di, ei = np.unravel_index(hits[0], minors.shape)
+            si, ei = divmod(int(hits[0]), sigma.shape[0])
             s_vec = np.ones(2 * n)
-            s_vec[subsets[si]] = d[di]
-            s_vec[n + subsets[si]] = e[ei]
-            return np.outer(s_vec, s_vec), tried + int(hits[0]) + 1
-        tried += minors.size
+            s_vec[n + subsets[si]] = sigma[ei]
+            return np.outer(s_vec, s_vec), tried + si * per_subset + ei + 1
+        tried += subsets.shape[0] * per_subset
     return None, tried
 
 
 def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
-    """The two structured extremes, then the rank-one sign enumeration."""
+    """The two structured extremes, then the rank-one sign enumeration.
+
+    The extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
+    and their image is -(A +- B), so that image is tested first and
+    make_witness runs only on a hit.
+    """
     n = pair.n
-    ones = np.ones((n, n))
     tried = 0
     for s12_sign in (1.0, -1.0):
-        s = np.block([[ones, s12_sign * ones], [s12_sign * ones, ones]])
         tried += 1
-        witness = make_witness(pair, s)
-        if witness is not None:
-            return witness, tried
+        if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
+            s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
+            witness = make_witness(pair, np.outer(s_vec, s_vec))
+            if witness is not None:
+                return witness, tried
     s_full, enum_tried = _sign_witness_search(pair)
     tried += enum_tried
     if s_full is not None:
@@ -317,10 +365,12 @@ def refute_by_sampling(
     """Search for an infeasibility witness; returns (witness or None, tried).
 
     Deterministic phase first: the all-ones extreme, the extreme with the
-    off-diagonal block negated, then every rank-one sign matrix (n <= 6).
-    After that, n_samples random unit-column Gram matrices S = G'G with G
-    drawn 2n x 2n standard normal and columns normalized. Identical seeds
-    give identical outcomes.
+    off-diagonal block negated, then every rank-one sign matrix (n <= 6;
+    _sign_witness_search counts all (5^n - 1) / 2 of them but evaluates each
+    of the 3^n - 1 distinct minors once). After that, n_samples random
+    unit-column Gram matrices S = G'G with G drawn 2n x 2n standard normal
+    and columns normalized. tried counts all of these up to the witness.
+    Identical seeds give identical outcomes.
     """
     if n_samples < 0:
         raise ContractError("n_samples must be >= 0")

@@ -192,6 +192,27 @@ def test_simulate_rejects_unusable_grid_arguments(tmp_path, capsys, flags, name)
     assert name in err
 
 
+README_PAIR = {"A": [[-3.0, 1.0], [1.0, -3.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
+
+
+@pytest.mark.parametrize(
+    "flags, name",
+    [
+        (["--tol", "nan"], "tol"),
+        (["--tol", "inf"], "tol"),
+        (["--tol", "-1"], "tol"),
+        (["--max-iter", "-5"], "max_iter"),
+        (["--samples", "-3"], "samples"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "refute"])
+def test_solve_options_out_of_range_exit_one_naming_the_field(tmp_path, capsys, command, flags, name):
+    code, out, err = run_main(capsys, [command, write(tmp_path, README_PAIR)] + flags)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
 def test_selftest_writes_timings_to_stderr(tmp_path, capsys, monkeypatch):
     report = {"seed": 0, "criteria": {}, "all_passed": True}
     timings = {

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from riccstab import lmi
 from riccstab.lmi import _block, _chol, _newton_system, minimize
 from riccstab.riccati import MatrixPair, SolveOptions, Verdict, solve_diagonal
 
@@ -43,7 +44,7 @@ def test_closed_form_derivatives_match_dense_traces(n):
     grad = np.array([kappa - np.trace(x)] + [np.trace(x @ fi) - 1.0 / wi for wi, fi in zip(w, gens)])
     hess = np.array([[np.trace(x @ gi @ x @ gj) for gj in dg] for gi in dg])
     hess[1:, 1:] += np.diag(1.0 / w**2)
-    got_grad, got_hess = _newton_system(v, kappa, w, _chol(v, t, w))
+    got_grad, got_hess = _newton_system(v, kappa, w, _chol(f, t))
     np.testing.assert_allclose(got_grad, grad, rtol=1e-10, atol=1e-10 * np.abs(grad).max())
     np.testing.assert_allclose(got_hess, hess, rtol=1e-10, atol=1e-10 * np.abs(hess).max())
 
@@ -94,3 +95,29 @@ def test_two_solves_give_identical_json():
     first, second = solve_diagonal(pair), solve_diagonal(pair)
     assert first.status == Verdict.FEASIBLE
     assert first.to_json() == second.to_json()
+
+
+def test_minimize_builds_one_block_per_line_search_trial(monkeypatch):
+    counts = {"_block": 0, "cholesky": 0, "eigvalsh": 0}
+
+    def counter(name, original):
+        def counting(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return counting
+
+    monkeypatch.setattr(lmi, "_block", counter("_block", lmi._block))
+    for name in ("cholesky", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counter(name, getattr(np.linalg, name)))
+    t = np.array([0.3, 1.0, 3.0])  # the similarity-scaled pair above: the path moves
+    a = np.array([[-2.235, 0.006, 0.107], [-0.122, -2.109, 0.009], [-0.051, 0.158, -1.591]])
+    b = np.array([[-0.372, 0.023, 0.179], [-0.058, 0.212, -0.021], [0.207, 0.446, -0.209]])
+    a, b = t[:, None] * a / t[None, :], t[:, None] * b / t[None, :]
+    s = np.abs(a).max() + np.abs(b).max()
+    found = minimize(a / s, b / s, stop=-1e-3, tol=1e-7, max_iter=5000)
+    assert found.steps > 0
+    # F at w = 1 gives lambda_max and the first factor; each trial with w > 0
+    # builds F once and factors it once; lambda_max is read from the accepted F
+    assert counts["_block"] == counts["cholesky"] > found.steps
+    assert counts["eigvalsh"] == found.steps + 1

@@ -353,6 +353,18 @@ def test_walk_scales_subnormal_input_to_unit_size():
     assert nonpositive_minor(m) is None
 
 
+def test_minor_below_the_band_is_marginal_where_its_determinant_underflows():
+    """The matrix above is P, but its minor {0, 1}, 1.1e-13 times its scale,
+    is below the default band; det of the submatrix underflows to 0.0, so the
+    marginal flag has to come from the sign the walk saw."""
+    c = 2.0**-1031
+    report = is_p_matrix([[3.0 * c, c], [c, 2932031007403 * 2.0**-1074]])
+    assert not report.is_p
+    assert report.failing_subset == (0, 1)
+    assert report.failing_minor == 0.0
+    assert report.marginal
+
+
 def test_minor_band_is_tested_where_minors_underflow():
     """Each minor of a positive diagonal matrix equals its scale, however far
     apart the entries are; here the full minor, 2.4e-359, and its scale are

@@ -1,14 +1,15 @@
 """Certifying solver: block form, certificate verification, refutation."""
 
 from itertools import combinations, product
+from math import comb
 
 import numpy as np
 import pytest
 
-from riccstab import riccati
+from riccstab import matcore, riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import sym_spectrum
-from riccstab.pmatrix import MAX_P_SIZE
+from riccstab.pmatrix import MAX_P_SIZE, stacked_minors
 from riccstab.riccati import (
     SIGN_ENUM_MAX_N,
     MatrixPair,
@@ -61,6 +62,40 @@ def reference_sign_witness_search(pair: MatrixPair):
                         s_vec = np.concatenate([d_full, e_full])
                         return np.outer(s_vec, s_vec), tried
     return None, tried
+
+
+def stacked_de_sign_witness_search(pair: MatrixPair):
+    """The enumeration over sigma = d o e replaced: every (d, e) with d_0 = +1
+    on every subset, each size's (subset, d, e) minors as one stack."""
+    n = pair.n
+    a, b = pair.a, pair.b
+    tried = 0
+    for size in range(1, n + 1):
+        parity = -1.0 if size % 2 else 1.0
+        e = np.array(list(product((1.0, -1.0), repeat=size)))
+        d = e[: e.shape[0] // 2]
+        subsets = np.array(list(combinations(range(n), size)))
+        rows, cols = subsets[:, None, None, :, None], subsets[:, None, None, None, :]
+        stack = a[rows, cols] * d[:, None, None, :] + b[rows, cols] * e[:, None, :]
+        minors = (parity * d.prod(axis=1))[:, None] * stacked_minors(stack)
+        hits = np.flatnonzero(minors <= 0.0)
+        if hits.size:
+            si, di, ei = np.unravel_index(hits[0], minors.shape)
+            s_vec = np.ones(2 * n)
+            s_vec[subsets[si]] = d[di]
+            s_vec[n + subsets[si]] = e[ei]
+            return np.outer(s_vec, s_vec), tried + int(hits[0]) + 1
+        tried += minors.size
+    return None, tried
+
+
+def _first_hit_size(tried: int, n: int) -> int:
+    """Subset size of the tried-th candidate: size k holds C(n, k) 2^(k-1) 2^k."""
+    for size in range(1, n + 1):
+        tried -= comb(n, size) * 2 ** (2 * size - 1)
+        if tried <= 0:
+            return size
+    raise AssertionError("count beyond the enumeration")
 
 
 def _sign_search_pairs(rng, n):
@@ -155,6 +190,17 @@ def test_refute_scalar_first_extreme():
     assert tried == 1
 
 
+def test_json_shares_one_float_object_per_unit_value():
+    verdict = solve_diagonal(MatrixPair([[-1.0, 2.5], [2.2, -1.5]], [[0.2, 0.0], [0.3, 0.1]]))
+    rows = verdict.to_json()["witness_S"]
+    assert rows == [[float(x) for x in row] for row in verdict.witness.s.full]
+    entries = [x for row in rows for x in row]
+    assert set(entries) == {1.0}  # the all-ones extreme
+    assert all(x is entries[0] for x in entries)  # a pointer each, not a float each
+    certificate = solve_diagonal(MatrixPair([[-2.0]], [[1.0]])).certificate  # certified at w = 1
+    assert certificate.to_json()["P"][0] is verdict.to_json()["witness_S"][0][0]
+
+
 def test_refute_finds_nothing_on_feasible_pair():
     witness, _ = refute_by_sampling(MatrixPair([[-1.0]], [[0.5]]), n_samples=64, seed=0)
     assert witness is None
@@ -200,6 +246,26 @@ def test_solver_deterministic_for_fixed_seed():
     assert first.to_json() == second.to_json()
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tol", float("nan")),
+        ("tol", float("inf")),
+        ("tol", -1.0),
+        ("max_iter", -5),
+        ("samples", -3),
+    ],
+)
+def test_solve_options_refuse_out_of_range_values_naming_the_field(field, value):
+    with pytest.raises(ContractError, match=field):
+        SolveOptions(**{field: value})
+
+
+def test_solve_options_accept_zero_budgets():
+    opts = SolveOptions(tol=0.0, max_iter=0, samples=0)
+    assert solve_diagonal(MatrixPair([[-2.0]], [[1.0]]), opts).status == Verdict.FEASIBLE  # certified at w = 1
+
+
 @pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
 def test_stacked_sign_search_matches_nested_reference(n):
     rng = np.random.default_rng(200 + n)
@@ -211,6 +277,31 @@ def test_stacked_sign_search_matches_nested_reference(n):
             assert s is None
         else:
             assert np.array_equal(s, s_ref)
+
+
+@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+def test_sign_search_matches_full_de_enumeration(n):
+    rng = np.random.default_rng(300 + n)
+    pairs = list(_sign_search_pairs(rng, n))
+    # A = -I + 0.3 N, ||B||_2 = 1: the first hit often has size 3 or more
+    pairs += [
+        MatrixPair(-np.eye(n) + 0.3 * rng.standard_normal((n, n)), b / np.linalg.norm(b, 2))
+        for b in rng.standard_normal((12, n, n))
+    ]
+    no_hit, sizes = 0, set()
+    for pair in pairs:
+        s, tried = _sign_witness_search(pair)
+        s_ref, tried_ref = stacked_de_sign_witness_search(pair)
+        assert tried == tried_ref
+        if s_ref is None:
+            assert s is None
+            assert tried == (5**n - 1) // 2
+            no_hit += 1
+        else:
+            assert np.array_equal(s, s_ref)
+            sizes.add(_first_hit_size(tried, n))
+    assert no_hit
+    assert max(sizes) >= min(n, 3)
 
 
 def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
@@ -327,6 +418,46 @@ def test_verify_certificate_makes_one_proof_and_two_spectra(monkeypatch):
     ok, _ = verify_certificate(pair, np.ones(n), np.ones(n))
     assert ok
     assert counts == {"cholesky": 1, "eigvalsh": 2}
+
+
+def test_verify_certificate_symmetrises_its_block_once(monkeypatch):
+    shapes = []
+    require_symmetric = matcore._require_symmetric
+
+    def counting(m):
+        shapes.append(np.shape(m))
+        return require_symmetric(m)
+
+    monkeypatch.setattr(matcore, "_require_symmetric", counting)
+    monkeypatch.setattr(riccati, "_require_symmetric", counting)
+    pair = INVARIANCE_BASES[1]
+    ok, _ = verify_certificate(pair, np.ones(3), np.ones(3))
+    assert ok
+    assert shapes.count((6, 6)) == 1
+
+
+def _counting_calls(monkeypatch, module, names):
+    calls = []
+    for name in names:
+        original = getattr(module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
+    calls = _counting_calls(monkeypatch, riccati, ("make_witness", "sym_spectrum"))
+    witness, tried = _deterministic_refutation(INVARIANCE_BASES[1])  # feasible, n = 3
+    assert witness is None
+    assert tried == 2 + (5**3 - 1) // 2
+    assert calls == []
+    witness, tried = _deterministic_refutation(MatrixPair([[-1.0]], [[2.0]]))
+    assert witness is not None and tried == 1
+    assert calls == ["make_witness", "sym_spectrum"]  # every check, on the hit alone
 
 
 # the README pair (one Newton step) and a 3x3 base that unit weights certify
