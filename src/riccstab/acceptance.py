@@ -25,6 +25,7 @@ from .classes import (
     structured_condition,
 )
 from .ddesim import decay_check, simulate
+from .errors import ContractError
 from .matcore import BlockSymmetric, spectral_abscissa, sym_spectrum
 from .pmatrix import dpd_conjugate, is_p_matrix, nonpositive_minor
 from .riccati import MatrixPair, Verdict, solve_diagonal
@@ -480,12 +481,9 @@ def delay_decay(seed: int, cases: int = 20) -> dict:
             failures += 1
             continue
         solved_feasible += 1
-        ok = True
-        for tau in DECAY_TAUS:
-            horizon = max(60.0, 5.0 * tau + 40.0)
-            report = decay_check(pair, verdict.certificate, [tau], horizon, DECAY_STEP)[0]
-            if not report.decayed:
-                ok = False
+        horizons = [max(60.0, 5.0 * tau + 40.0) for tau in DECAY_TAUS]
+        reports = decay_check(pair, verdict.certificate, DECAY_TAUS, horizons, DECAY_STEP)
+        ok = all(report.decayed for report in reports)
         phi = np.ones(pair.n)
         delayed = simulate(pair, 0.0, phi, 20.0, DECAY_STEP)
         reduced = simulate(MatrixPair(pair.a + pair.b, np.zeros((pair.n, pair.n))), 0.0, phi, 20.0, DECAY_STEP)
@@ -509,7 +507,10 @@ def run_all(seed: int = 0) -> tuple[dict, dict]:
 
     Returns (report, timings); the report is deterministic for a fixed seed,
     timings are wall-clock seconds kept out of the report on purpose.
+    A negative seed is refused with a ContractError that names it.
     """
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     log = WitnessLog()
     criteria = {}
     timings = {}

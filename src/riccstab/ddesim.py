@@ -337,25 +337,30 @@ def decay_check(
     pair: MatrixPair,
     cert: RiccatiCertificate | None,
     tau_list,
-    horizon: float,
+    horizon,
     h: float,
 ) -> list[DecayReport]:
     """Simulate across delays and check decay of the state and, when a
     certificate is given, of the functional it defines.
 
-    Without a certificate only the norm criterion applies. The initial
-    function is the all-ones vector. Failures are reported, never raised;
-    an invalid certificate is rejected up front.
+    horizon is one end time for every delay or a sequence of one per delay;
+    each run ends at the larger of its horizon and its delay. Without a
+    certificate only the norm criterion applies. The initial function is
+    the all-ones vector. Failures are reported, never raised; an invalid
+    certificate is rejected up front, once for all the delays.
     """
+    taus = [float(tau) for tau in tau_list]
+    horizons = [float(t) for t in horizon] if np.ndim(horizon) else [float(horizon)] * len(taus)
+    if len(horizons) != len(taus):
+        raise ContractError(f"{len(horizons)} horizons for {len(taus)} delays")
     if cert is not None:
         ok, _ = verify_certificate(pair, cert.p, cert.q, 0.0)
         if not ok:
             raise ContractError("certificate does not verify for this pair")
     phi = np.ones(pair.n)
     reports = []
-    for tau in tau_list:
-        tau = float(tau)
-        run_horizon = max(float(horizon), tau)
+    for tau, run_horizon in zip(taus, horizons):
+        run_horizon = max(run_horizon, tau)
         traj = simulate(pair, tau, phi, run_horizon, h)
         lk = lk_functional(traj, cert) if cert is not None and not traj.diverged else None
         reports.append(decay_report(traj, lk))

@@ -122,8 +122,7 @@ class BlockSymmetric:
         n = self.n if self.n else full.shape[0] // 2
         if full.shape[0] != 2 * n:
             raise DimensionError(f"full matrix of shape {full.shape} is not 2n x 2n for n={n}")
-        scale = max(1.0, float(np.linalg.norm(full)))
-        if float(np.abs(full - full.T).max()) > 1e-12 * scale:
+        if float(np.abs(full - full.T).max()) > 1e-12 * _symmetry_scale(full):
             raise ContractError("block matrix is not symmetric within tolerance")
         object.__setattr__(self, "full", full)
         object.__setattr__(self, "n", n)
@@ -141,10 +140,15 @@ class BlockSymmetric:
         return self.full[self.n :, self.n :]
 
 
+def _symmetry_scale(a: np.ndarray) -> float:
+    """max(1, ||a||_F), formed on a / max|a| so that it cannot overflow."""
+    top = float(np.abs(a).max())
+    return max(1.0, top * float(np.linalg.norm(a / top))) if top > 0.0 else 1.0
+
+
 def _require_symmetric(m) -> np.ndarray:
     a = as_square(m)
-    scale = max(1.0, float(np.linalg.norm(a)))
-    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * scale:
+    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * _symmetry_scale(a):
         raise ContractError("matrix is not symmetric within tolerance")
     return (a + a.T) / 2.0
 

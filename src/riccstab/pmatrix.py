@@ -67,7 +67,8 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
     magnitude estimate). Minors in (0, band * scale] fail with the marginal
     flag; pass band=0.0 to accept any positive minor. Subsets are ranked by
     size, then lexicographically, and the first failure is reported with its
-    det value (stacked_minors of the submatrix) and marginal set from the
+    det value (stacked_minors of the submatrix; +-inf with the minor's sign,
+    never NaN, when it is beyond the float range) and marginal set from the
     sign the walk gave that minor, which holds where the det underflows.
 
     The diagonal is tested first, every other minor by the walk of the module
@@ -97,7 +98,12 @@ def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
         if found is None:
             return PMatrixReport(is_p=True)
         subset, positive = found
-    minor = float(stacked_minors(a[subset[:, None], subset]))
+    sub = a[subset[:, None], subset]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        minor = float(stacked_minors(sub))
+        if not math.isfinite(minor):  # beyond the float range, or inf - inf: +-inf with the sign of the minor
+            sign, log_abs_det = _signed_log_dets(sub[None])
+            minor = float(sign[0] * np.exp(log_abs_det[0]))
     return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=positive)
 
 
@@ -211,16 +217,8 @@ def _indices(key: int, n: int) -> np.ndarray:
 
 
 def _signed_log_minors(a: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |det| of the submatrices of a on the subsets with these keys.
-
-    Each submatrix has its rows, then its columns, scaled up by powers of two
-    to a largest entry of at least 1 (exact, as nothing can underflow; the
-    log is corrected after). A 2 x 2 determinant is then taken in closed
-    form, as by stacked_minors: one of its two products is at least 1, so
-    underflow cannot flip its sign, while LAPACK's LU of
-    [[1e-310, 1], [1e-310, 1e-100]] can. Larger ones come from slogdet, one
-    call per subset size.
-    """
+    """Sign and log |det| of the submatrices of a on the subsets with these
+    keys, by _signed_log_dets, one call per subset size."""
     n = a.shape[0]
     members = ((1 << n) >> np.arange(1, n + 1) & -keys[:, None]) != 0
     sizes = members.sum(axis=1)
@@ -228,19 +226,33 @@ def _signed_log_minors(a: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.
     for s in np.unique(sizes):
         rows = np.flatnonzero(sizes == s)
         idx = np.nonzero(members[rows])[1].reshape(-1, s)
-        subs = a[idx[:, :, None], idx[:, None, :]]
-        shift = np.zeros(len(rows))
-        for axis in (2, 1):
-            up = np.maximum(1 - np.frexp(np.abs(subs).max(axis=axis))[1], 0)
-            subs = np.ldexp(subs, np.expand_dims(up, axis))
-            shift += up.sum(axis=1)
-        if s <= 2:
-            minors = stacked_minors(subs)
-            sign[rows], log_abs_det[rows] = np.sign(minors), np.log(np.abs(minors))
-        else:
-            sign[rows], log_abs_det[rows] = np.linalg.slogdet(subs)
-        log_abs_det[rows] -= shift * np.log(2.0)
+        sign[rows], log_abs_det[rows] = _signed_log_dets(a[idx[:, :, None], idx[:, None, :]])
     return sign, log_abs_det
+
+
+def _signed_log_dets(subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sign and log |det| of a (..., s, s) stack, with no over- or underflow.
+
+    Each matrix has its rows scaled by powers of two to a largest entry in
+    [1, 2), then its columns scaled up to a largest entry of at least 1; the
+    log is corrected after. Scaling up is exact; scaling a row down loses
+    only entries below 2^-1022 times the row's largest. A 2 x 2 determinant
+    is then taken in closed form, as by stacked_minors: neither product can
+    overflow and one of them is at least 1, so underflow cannot flip its
+    sign, while LAPACK's LU of [[1e-310, 1], [1e-310, 1e-100]] can. Larger
+    ones come from one slogdet call.
+    """
+    rows = 1 - np.frexp(np.abs(subs).max(axis=-1))[1]
+    subs = np.ldexp(subs, rows[..., :, None])
+    cols = np.maximum(1 - np.frexp(np.abs(subs).max(axis=-2))[1], 0)
+    subs = np.ldexp(subs, cols[..., None, :])
+    shift = rows.sum(axis=-1) + cols.sum(axis=-1)
+    if subs.shape[-1] <= 2:
+        minors = stacked_minors(subs)
+        sign, log_abs_det = np.sign(minors), np.log(np.abs(minors))
+    else:
+        sign, log_abs_det = np.linalg.slogdet(subs)
+    return sign, log_abs_det - shift * np.log(2.0)
 
 
 def nonpositive_minor(m) -> PMatrixReport | None:

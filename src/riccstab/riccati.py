@@ -16,7 +16,9 @@ All functions are pure and deterministic for a fixed seed.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -51,6 +53,13 @@ def _json_floats(v: np.ndarray) -> list[float]:
     float objects instead of taking one each, so that reports kept in bulk
     stay small."""
     return [_UNITS.get(x, x) for x in v.tolist()]
+
+
+def _json_minor(minor: float) -> float:
+    """A failing minor as strict JSON: one beyond the float range (+-inf;
+    never NaN, see is_p_matrix) is clamped to the largest finite float of
+    its sign."""
+    return max(-sys.float_info.max, min(float(minor), sys.float_info.max))
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +121,7 @@ class CorrelationWitness:
         return {
             "witness_S": [_json_floats(row) for row in self.s.full],
             "failing_subset": [int(i) for i in self.p_report.failing_subset],
-            "failing_minor": float(self.p_report.failing_minor),
+            "failing_minor": _json_minor(self.p_report.failing_minor),
         }
 
 
@@ -170,7 +179,9 @@ class SolveOptions:
     s = max|A| + max|B|: the barrier solver works on (A, B)/s, and a
     certificate must verify at margin tol * s. max_iter caps its Newton
     steps. seed and samples drive only the random Gram fallback that runs
-    when the solver cannot certify.
+    when the solver cannot certify. A non-finite or negative tol and a
+    negative seed, max_iter or samples are refused with a ContractError
+    that names the field.
     """
 
     tol: float = DEFAULT_TOL
@@ -181,7 +192,7 @@ class SolveOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ContractError(f"tol must be finite and >= 0, got {self.tol}")
-        for name in ("max_iter", "samples"):
+        for name in ("seed", "max_iter", "samples"):
             if getattr(self, name) < 0:
                 raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
 
@@ -273,71 +284,124 @@ def _block_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> n
     return full
 
 
-def _sign_witness_search(pair: MatrixPair) -> tuple[np.ndarray | None, int]:
-    """Exhaustive search over rank-one sign witnesses S = s s', s = (d, e) in {+-1}^{2n}.
+@dataclass(frozen=True, eq=False)
+class _SignPlan:
+    """Index arrays of the rank-one sign screen at one n (see _sign_minors).
 
-    The image of S is -(A o dd' + B o de') = -D(A + B Sigma)D with
-    Sigma = diag(d o e), so its principal minor on a k-subset alpha is
-    (-1)^k det(A_a + B_a Sigma_a): it depends only on sigma = d o e on alpha,
-    and all subsets together take 3^n - 1 distinct values. Each size is one
-    stack of its 2^k sign patterns sigma on all its subsets. The values are
-    bit for bit those of the minor written per (d, e),
-    (-1)^k det(D_a) det(A_a D_a + B_a E_a): flipping the signs of columns
-    leaves the choices of LU with partial pivoting alone and flips the signs
-    of the columns of U.
-
-    The count is still that of the (d, e) candidates, d_0 = +1 (the global
-    flip is redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In
-    their order (subsets by size then lexicographic, then d, then e, both in
-    binary counter order) the first violation has d = 1 and e = sigma.
-    Returns its full sign matrix and the number of candidates up to it, or
-    None and the total.
+    stacks holds, per subset size k, the row and column indices of every
+    k-subset, its 2^k sign patterns sigma in binary counter order and the
+    parity (-1)^k. The other fields run over the 3^n - 1 table entries, in
+    table order: the positions of sigma = +1 and sigma = -1 (the images of
+    the two extremes), the e of each entry's witness s = (1, e) (sigma on
+    the subset, 1 elsewhere), and the (d, e) candidates up to and including
+    each entry.
     """
-    n = pair.n
-    if n > SIGN_ENUM_MAX_N:
-        return None, 0
-    a, b = pair.a, pair.b
-    tried = 0
+
+    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
+    extremes: tuple[np.ndarray, np.ndarray]
+    e: np.ndarray
+    tried: np.ndarray
+
+
+@lru_cache(maxsize=SIGN_ENUM_MAX_N)
+def _sign_plan(n: int) -> _SignPlan:
+    stacks, plus, minus, es, tried = [], [], [], [], []
+    entries = candidates = 0
     for size in range(1, n + 1):
-        parity = -1.0 if size % 2 else 1.0
         sigma = np.array(list(product((1.0, -1.0), repeat=size)))
         subsets = np.array(list(combinations(range(n), size)))
-        rows, cols = subsets[:, None, :, None], subsets[:, None, None, :]
-        minors = parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma[:, None, :])
-        per_subset = sigma.shape[0] ** 2 // 2  # (d, e) pairs with d_0 = +1
-        hits = np.flatnonzero(minors <= 0.0)
-        if hits.size:
-            si, ei = divmod(int(hits[0]), sigma.shape[0])
-            s_vec = np.ones(2 * n)
-            s_vec[n + subsets[si]] = sigma[ei]
-            return np.outer(s_vec, s_vec), tried + si * per_subset + ei + 1
-        tried += subsets.shape[0] * per_subset
-    return None, tried
+        count, patterns = len(subsets), len(sigma)
+        stacks.append((subsets[:, None, :, None], subsets[:, None, None, :], sigma[:, None, :], -1.0 if size % 2 else 1.0))
+        starts = entries + patterns * np.arange(count)
+        plus.append(starts)
+        minus.append(starts + patterns - 1)
+        e = np.ones((count, patterns, n))
+        np.put_along_axis(e, np.broadcast_to(subsets[:, None, :], (count, patterns, size)), sigma[None], axis=2)
+        es.append(e.reshape(-1, n))
+        per_subset = patterns**2 // 2  # (d, e) pairs with d_0 = +1
+        tried.append(candidates + (per_subset * np.arange(count)[:, None] + np.arange(1, patterns + 1)).ravel())
+        entries += count * patterns
+        candidates += count * per_subset
+    plan = _SignPlan(tuple(stacks), (np.concatenate(plus), np.concatenate(minus)), np.concatenate(es), np.concatenate(tried))
+    for array in (*(a for stack in stacks for a in stack[:3]), *plan.extremes, plan.e, plan.tried):
+        array.flags.writeable = False  # shared by every caller through the cache
+    return plan
+
+
+def _sign_minors(pair: MatrixPair) -> np.ndarray:
+    """The 3^n - 1 distinct principal minors of the rank-one sign witnesses'
+    images, n <= SIGN_ENUM_MAX_N, on the pair scaled by the power of two that
+    puts max(max|A|, max|B|) in [1/2, 1).
+
+    The image of S = s s', s = (d, e) in {+-1}^{2n}, is
+    -(A o dd' + B o de') = -D(A + B Sigma)D with Sigma = diag(d o e), so its
+    minor on a k-subset alpha is (-1)^k det(A_a + B_a Sigma_a): it depends
+    only on sigma = d o e on alpha. The table holds these, by size, then
+    subset (lexicographic), then sigma (binary counter order), one
+    stacked_minors call per size. The values are bit for bit those of the
+    minors written per (d, e), (-1)^k det(D_a) det(A_a D_a + B_a E_a):
+    flipping the signs of columns leaves the choices of LU with partial
+    pivoting alone and flips the signs of the columns of U. The scaling is
+    exact, so it changes no sign, and no minor of the scaled pair, at most
+    k! 2^k in size, can overflow; only terms far below the pair's own
+    scale can underflow.
+    """
+    plan = _sign_plan(pair.n)
+    shift = -math.frexp(max(np.abs(pair.a).max(), np.abs(pair.b).max()))[1]
+    a, b = np.ldexp(pair.a, shift), np.ldexp(pair.b, shift)
+    return np.concatenate(
+        [parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma).ravel() for rows, cols, sigma, parity in plan.stacks]
+    )
+
+
+def _first_sign_hit(nonpositive: np.ndarray, n: int) -> tuple[np.ndarray | None, int]:
+    """The rank-one sign witness of the first table entry <= 0 and the count
+    of (d, e) candidates up to it, or None and the total.
+
+    The count is that of the (d, e) candidates, d_0 = +1 (the global flip is
+    redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In their
+    order (subsets by size then lexicographic, then d, then e, both in
+    binary counter order) the first violation has d = 1 and e = sigma.
+    """
+    plan = _sign_plan(n)
+    hits = np.flatnonzero(nonpositive)
+    if not hits.size:
+        return None, (5**n - 1) // 2
+    s_vec = np.concatenate([np.ones(n), plan.e[hits[0]]])
+    return np.outer(s_vec, s_vec), int(plan.tried[hits[0]])
 
 
 def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
     """The two structured extremes, then the rank-one sign enumeration.
 
     The extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
-    and their image is -(A +- B), so that image is tested first and
-    make_witness runs only on a hit.
+    and their image is -(A +- B): the minors of sigma = +-1 in the table of
+    _sign_minors up to n = SIGN_ENUM_MAX_N, the walk of nonpositive_minor
+    above it, where the screen is the extremes alone. make_witness, which
+    checks the candidate through its own walk, runs only on a hit; a hit it
+    refuses moves the screen on. Up to SIGN_ENUM_MAX_N every distinct minor
+    is evaluated once, in one table per call, and the enumeration takes its
+    first entry <= 0 (_first_sign_hit); when make_witness refuses that one,
+    the screen ends without a witness at its count.
     """
     n = pair.n
-    tried = 0
-    for s12_sign in (1.0, -1.0):
-        tried += 1
-        if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
+    small = n <= SIGN_ENUM_MAX_N
+    if small:
+        nonpositive = _sign_minors(pair) <= 0.0
+    for tried, s12_sign in ((1, 1.0), (2, -1.0)):
+        if small:
+            hit = nonpositive[_sign_plan(n).extremes[tried - 1]].any()
+        else:
+            hit = nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None
+        if hit:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
             witness = make_witness(pair, np.outer(s_vec, s_vec))
             if witness is not None:
                 return witness, tried
-    s_full, enum_tried = _sign_witness_search(pair)
-    tried += enum_tried
-    if s_full is not None:
-        witness = make_witness(pair, s_full)
-        if witness is not None:
-            return witness, tried
-    return None, tried
+    if not small:
+        return None, 2
+    s_full, enum_tried = _first_sign_hit(nonpositive, n)
+    return (None if s_full is None else make_witness(pair, s_full)), 2 + enum_tried
 
 
 def _gram_samples(pair: MatrixPair, n_samples: int, seed: int) -> tuple[CorrelationWitness | None, int]:
@@ -365,15 +429,20 @@ def refute_by_sampling(
     """Search for an infeasibility witness; returns (witness or None, tried).
 
     Deterministic phase first: the all-ones extreme, the extreme with the
-    off-diagonal block negated, then every rank-one sign matrix (n <= 6;
-    _sign_witness_search counts all (5^n - 1) / 2 of them but evaluates each
-    of the 3^n - 1 distinct minors once). After that, n_samples random
+    off-diagonal block negated, then every rank-one sign matrix (n <= 6).
+    Up to n = 6 all of these are read from one table of the 3^n - 1
+    distinct minors of their images, each evaluated once on the pair
+    rescaled by a power of two, while tried counts all (5^n - 1) / 2 sign
+    matrices (_deterministic_refutation). After that, n_samples random
     unit-column Gram matrices S = G'G with G drawn 2n x 2n standard normal
     and columns normalized. tried counts all of these up to the witness.
-    Identical seeds give identical outcomes.
+    Identical seeds give identical outcomes; a negative seed or n_samples
+    is refused.
     """
     if n_samples < 0:
         raise ContractError("n_samples must be >= 0")
+    if seed < 0:
+        raise ContractError(f"seed must be >= 0, got {seed}")
     witness, screened = _deterministic_refutation(pair)
     if witness is not None:
         return witness, screened

@@ -8,7 +8,7 @@ criterion it covers.
 
 import pytest
 
-from riccstab import acceptance
+from riccstab import acceptance, ddesim
 
 
 @pytest.fixture(scope="session")
@@ -102,3 +102,17 @@ def test_signature_classes_at_seed_one():
         assert entry[name]["cases"] == 100
         assert entry[name]["mismatches"] == 0
     assert entry["passed"]
+
+
+def test_delay_decay_verifies_each_certificate_once(monkeypatch):
+    verified = []
+    verify = ddesim.verify_certificate
+
+    def counting(*args):
+        verified.append(args[0].n)
+        return verify(*args)
+
+    monkeypatch.setattr(ddesim, "verify_certificate", counting)
+    entry = acceptance.delay_decay(0, cases=4)
+    assert entry["solved_feasible"] > 0
+    assert len(verified) == entry["solved_feasible"]

@@ -203,6 +203,7 @@ README_PAIR = {"A": [[-3.0, 1.0], [1.0, -3.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
         (["--tol", "-1"], "tol"),
         (["--max-iter", "-5"], "max_iter"),
         (["--samples", "-3"], "samples"),
+        (["--seed", "-3"], "seed"),
     ],
 )
 @pytest.mark.parametrize("command", ["check", "refute"])
@@ -211,6 +212,34 @@ def test_solve_options_out_of_range_exit_one_naming_the_field(tmp_path, capsys, 
     assert code == 1
     assert out == ""
     assert name in err
+
+
+def test_selftest_refuses_a_negative_seed_naming_it(capsys):
+    code, out, err = run_main(capsys, ["selftest", "--seed", "-3"])
+    assert code == 1
+    assert out == ""
+    assert "seed" in err and "non-negative integer" not in err
+
+
+def _strict_json(text):
+    """json.loads that refuses NaN and +-Infinity, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_overflowing_failing_minor_is_strict_json(tmp_path, capsys):
+    # the failing minor of {0, 1} is about -5e600, beyond the float range
+    pair = {"A": [[-1e300, -2e300], [-3e300, -1e300]], "B": [[1e299, 0.0], [0.0, 1e299]]}
+    code, out, err = run_main(capsys, ["check", write(tmp_path, pair)])
+    assert code == 0
+    assert err == ""
+    report = _strict_json(out)
+    assert report["status"] == "Refuted"
+    assert report["failing_subset"] == [0, 1]
+    assert report["failing_minor"] == -sys.float_info.max
 
 
 def test_selftest_writes_timings_to_stderr(tmp_path, capsys, monkeypatch):

@@ -329,6 +329,15 @@ def test_decay_check_feasible_scalar():
     assert all(r.max_lk_increase <= 1e-6 * 2.0 for r in reports)
 
 
+def test_decay_check_takes_one_horizon_per_delay():
+    runs = ((0.0, 40.0), (2.0, 10.0), (12.0, 5.0))  # the last one runs to its delay
+    reports = decay_check(SCALAR_PAIR, SCALAR_CERT, [tau for tau, _ in runs], [h for _, h in runs], 0.02)
+    one_by_one = [decay_check(SCALAR_PAIR, SCALAR_CERT, [tau], h, 0.02)[0] for tau, h in runs]
+    assert [r.to_json() for r in reports] == [r.to_json() for r in one_by_one]
+    with pytest.raises(ContractError, match="horizons"):
+        decay_check(SCALAR_PAIR, SCALAR_CERT, [0.0, 2.0], [40.0], 0.02)
+
+
 def test_decay_check_infeasible_pair_reported_not_raised():
     reports = decay_check(MatrixPair([[-1.0]], [[2.0]]), None, [2.0], 40.0, 0.02)
     assert not reports[0].decayed

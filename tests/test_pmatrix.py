@@ -138,6 +138,33 @@ def test_minor_band_is_scale_invariant(scale):
     assert report.failing_minor == pytest.approx(-3.0 * scale**2)
 
 
+SCALED_CASES = [
+    [[2.0, 1.0], [1.0, 3.0]],  # P
+    [[1.0, 2.0], [3.0, 1.0]],  # minor of {0, 1} is -5
+    [[3.0, 1.0, -1.0], [0.5, 2.0, 1.0], [1.0, -0.5, 4.0]],  # P
+    [[1.6, -0.6, -0.6], [-0.6, 1.6, -0.6], [-0.6, -0.6, 1.6]],  # (1 + t) I - t J: only the full minor fails
+]
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 2.0**1000, 1e300])
+@pytest.mark.parametrize("m", SCALED_CASES, ids=["p2", "not_p2", "p3", "not_p3"])
+def test_scaled_matrix_gets_the_verdict_of_the_matrix(m, c):
+    """At c = 2^1000 or 1e300 every minor of size 2 or more overflows, so
+    none of the walk's pivots is read and each minor is taken from its
+    submatrix; a 2 x 2 one formed in closed form from entries that were only
+    scaled up came out inf - inf. The reported minor keeps its sign and is
+    never NaN."""
+    for band in (0.0, MINOR_BAND):
+        base = is_p_matrix(m, band=band)
+        report = is_p_matrix(c * np.asarray(m), band=band)
+        assert (report.is_p, report.failing_subset, report.marginal) == (base.is_p, base.failing_subset, base.marginal)
+        if not base.is_p:
+            assert not np.isnan(report.failing_minor)
+            assert np.sign(report.failing_minor) in (0.0, np.sign(base.failing_minor))  # 0.0: the det underflowed
+            if c > 1.0:
+                assert report.failing_minor == -np.inf
+
+
 def _reference_cases(rng, n):
     """P, non-P, D M D-conjugated and near-band matrices of size n."""
     yield rng.standard_normal((n, n)) + 2.0 * n * np.eye(n)

@@ -9,14 +9,15 @@ import pytest
 from riccstab import matcore, riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import sym_spectrum
-from riccstab.pmatrix import MAX_P_SIZE, stacked_minors
+from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor, stacked_minors
 from riccstab.riccati import (
     SIGN_ENUM_MAX_N,
     MatrixPair,
     SolveOptions,
     Verdict,
     _deterministic_refutation,
-    _sign_witness_search,
+    _first_sign_hit,
+    _sign_minors,
     block_lmi,
     refute_by_sampling,
     riccati_form,
@@ -87,6 +88,58 @@ def stacked_de_sign_witness_search(pair: MatrixPair):
             return np.outer(s_vec, s_vec), tried + int(hits[0]) + 1
         tried += minors.size
     return None, tried
+
+
+def sigma_sign_witness_search(pair: MatrixPair):
+    """The enumeration the screen's table replaced: per subset size, one
+    stack of the 2^k sign patterns sigma on every subset of the pair as it
+    stands, the first hit mapped back to d = 1, e = sigma."""
+    n = pair.n
+    a, b = pair.a, pair.b
+    tried = 0
+    for size in range(1, n + 1):
+        parity = -1.0 if size % 2 else 1.0
+        sigma = np.array(list(product((1.0, -1.0), repeat=size)))
+        subsets = np.array(list(combinations(range(n), size)))
+        rows, cols = subsets[:, None, :, None], subsets[:, None, None, :]
+        minors = parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma[:, None, :])
+        per_subset = sigma.shape[0] ** 2 // 2
+        hits = np.flatnonzero(minors <= 0.0)
+        if hits.size:
+            si, ei = divmod(int(hits[0]), sigma.shape[0])
+            s_vec = np.ones(2 * n)
+            s_vec[n + subsets[si]] = sigma[ei]
+            return np.outer(s_vec, s_vec), tried + si * per_subset + ei + 1
+        tried += subsets.shape[0] * per_subset
+    return None, tried
+
+
+def reference_screen(pair: MatrixPair):
+    """The screen before the table: each extreme through the walk of
+    nonpositive_minor, then sigma_sign_witness_search up to n = 6."""
+    n = pair.n
+    tried = 0
+    for s12_sign in (1.0, -1.0):
+        tried += 1
+        if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
+            s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
+            witness = riccati.make_witness(pair, np.outer(s_vec, s_vec))
+            if witness is not None:
+                return witness, tried
+    if n > SIGN_ENUM_MAX_N:
+        return None, tried
+    s_full, enum_tried = sigma_sign_witness_search(pair)
+    tried += enum_tried
+    if s_full is not None:
+        witness = riccati.make_witness(pair, s_full)
+        if witness is not None:
+            return witness, tried
+    return None, tried
+
+
+def table_sign_search(pair: MatrixPair):
+    """The enumeration as the screen reads it from its table."""
+    return _first_sign_hit(_sign_minors(pair) <= 0.0, pair.n)
 
 
 def _first_hit_size(tried: int, n: int) -> int:
@@ -254,6 +307,7 @@ def test_solver_deterministic_for_fixed_seed():
         ("tol", -1.0),
         ("max_iter", -5),
         ("samples", -3),
+        ("seed", -3),
     ],
 )
 def test_solve_options_refuse_out_of_range_values_naming_the_field(field, value):
@@ -270,7 +324,7 @@ def test_solve_options_accept_zero_budgets():
 def test_stacked_sign_search_matches_nested_reference(n):
     rng = np.random.default_rng(200 + n)
     for pair in _sign_search_pairs(rng, n):
-        s, tried = _sign_witness_search(pair)
+        s, tried = table_sign_search(pair)
         s_ref, tried_ref = reference_sign_witness_search(pair)
         assert tried == tried_ref
         if s_ref is None:
@@ -290,7 +344,7 @@ def test_sign_search_matches_full_de_enumeration(n):
     ]
     no_hit, sizes = 0, set()
     for pair in pairs:
-        s, tried = _sign_witness_search(pair)
+        s, tried = table_sign_search(pair)
         s_ref, tried_ref = stacked_de_sign_witness_search(pair)
         assert tried == tried_ref
         if s_ref is None:
@@ -314,9 +368,11 @@ def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
     n = SIGN_ENUM_MAX_N
-    s, _ = _sign_witness_search(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
-    assert s is None
-    assert 0 < len(calls) <= 2**n - 1
+    witness, tried = _deterministic_refutation(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
+    assert witness is None and tried == 2 + (5**n - 1) // 2
+    # one stack per subset size k >= 3, which holds all its subsets and sign patterns
+    assert [shape[-1] for shape in calls] == list(range(3, n + 1))
+    assert [shape[:2] for shape in calls] == [(comb(n, k), 2**k) for k in range(3, n + 1)]
 
 
 # feasible with margin about 1e-9, below the default tol: the search cannot
@@ -333,18 +389,80 @@ def test_unknown_counts_the_screen_once():
 
 
 def test_screen_runs_once_per_solve(monkeypatch):
-    calls = []
-    search = riccati._sign_witness_search
+    builds = []
+    sign_minors = riccati._sign_minors
 
-    def counting_search(pair):
-        calls.append(pair.n)
-        return search(pair)
+    def counting_sign_minors(pair):
+        builds.append(pair.n)
+        return sign_minors(pair)
 
-    monkeypatch.setattr(riccati, "_sign_witness_search", counting_search)
+    monkeypatch.setattr(riccati, "_sign_minors", counting_sign_minors)
     pairs = [BOUNDARY, MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))]
     for pair in pairs:
         solve_diagonal(pair, FAST)
-    assert len(calls) == len(pairs)
+    assert builds == [pair.n for pair in pairs]  # one table each, the sampler's phase included
+
+
+def _screen_exit(witness, tried: int) -> str:
+    if witness is None:
+        return "none"
+    return {1: "plus", 2: "minus"}.get(tried, "sign")
+
+
+def _screen_pairs(rng, n):
+    """Pairs that leave the screen at every exit: the + extreme, the -
+    extreme alone, a sign witness (of size >= 2, as those of size 1 are the
+    extremes') and none."""
+    eye = np.eye(n)
+    yield MatrixPair(-eye, 2.0 * eye)  # -(A + B) = -I
+    yield MatrixPair(-eye, -2.0 * eye)  # -(A + B) = 3I, -(A - B) = -I
+    yield MatrixPair(-2.0 * eye, np.full((n, n), 1.9 / n))
+    yield MatrixPair(np.round(rng.standard_normal((n, n))) - 2.0 * eye, np.round(rng.standard_normal((n, n))))
+    for t in (0.6, 0.9, 1.2, 1.5):
+        for _ in range(6):
+            b = rng.standard_normal((n, n))
+            yield MatrixPair(-eye + 0.3 * rng.standard_normal((n, n)), t * b / np.linalg.norm(b, 2))
+
+
+@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+def test_screen_matches_the_walk_and_enumeration_reference(n):
+    rng = np.random.default_rng(500 + n)
+    exits = set()
+    for pair in _screen_pairs(rng, n):
+        witness, tried = _deterministic_refutation(pair)
+        expected, tried_ref = reference_screen(pair)
+        assert tried == tried_ref
+        assert (witness is None) == (expected is None)
+        if expected is not None:
+            assert np.array_equal(witness.s.full, expected.s.full)
+            assert witness.p_report == expected.p_report
+        exits.add(_screen_exit(witness, tried))
+    assert exits == ({"plus", "minus", "sign", "none"} if n > 1 else {"plus", "minus", "none"})
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-300, 1e300])
+@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+def test_screen_and_verdict_do_not_change_with_the_scale_of_the_pair(n, c):
+    """The table is built on the pair scaled to unit size by a power of two,
+    so no minor over- or underflows: c (A, B) leaves the screen where (A, B)
+    does, with the same count, and gets its verdict."""
+    rng = np.random.default_rng(600 + n)
+    exits = set()
+    pairs = list(_screen_pairs(rng, n))
+    for pair in pairs[:4] + pairs[4::4]:  # the constructed exits and a quarter of the random pairs
+        scaled = MatrixPair(c * pair.a, c * pair.b)
+        witness, tried = _deterministic_refutation(pair)
+        witness_c, tried_c = _deterministic_refutation(scaled)
+        assert tried_c == tried
+        assert (witness_c is None) == (witness is None)
+        if witness is not None:
+            assert np.array_equal(witness_c.s.full, witness.s.full)
+            assert witness_c.p_report.failing_subset == witness.p_report.failing_subset
+            assert witness_c.to_json()["failing_minor"] * witness.p_report.failing_minor >= 0.0
+        exits.add(_screen_exit(witness, tried))
+        verdict, verdict_c = solve_diagonal(pair, FAST), solve_diagonal(scaled, FAST)
+        assert (verdict_c.status, verdict_c.samples_tried) == (verdict.status, verdict.samples_tried)
+    assert {"plus", "minus", "none"} <= exits
 
 
 @pytest.mark.parametrize("n", [MAX_P_SIZE + 1, MAX_P_SIZE + 2, 24])
