@@ -89,17 +89,23 @@ def _solve_options(data: dict, args) -> SolveOptions:
     if not isinstance(opts, dict):
         raise RiccstabError("options must be a JSON object")
 
-    def pick(flag_value, key, default):
+    def pick(flag_value, key, default, integral=True):
+        """The flag, else the file's value, which must be a JSON number
+        (not true or false) and, for a count or seed, integral."""
         if flag_value is not None:
             return flag_value
-        return opts.get(key, default)
+        value = opts.get(key, default)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or (integral and isinstance(value, float) and not value.is_integer()):
+            kind = "an integer" if integral else "a number"
+            raise RiccstabError(f"options.{key} must be {kind}, got {json.dumps(value)}")
+        return value
 
     base = SolveOptions()
     return SolveOptions(
-        tol=float(pick(args.tol, "tol", base.tol)),
+        tol=float(pick(args.tol, "tol", base.tol, integral=False)),
         seed=int(pick(args.seed, "seed", base.seed)),
         samples=int(pick(args.samples, "samples", base.samples)),
-        max_iter=int(pick(getattr(args, "max_iter"), "max_iter", base.max_iter)),
+        max_iter=int(pick(args.max_iter, "max_iter", base.max_iter)),
     )
 
 

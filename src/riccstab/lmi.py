@@ -14,6 +14,14 @@ centering the optimum lies within DEGREE_PER_N * n / kappa below t
 System and Control Theory, SIAM 1994; Vandenberghe & Boyd, Semidefinite
 programming, SIAM Review 38, 1996). Deterministic: no random starts.
 
+The path starts at w = 1, t = lambda_max(F(1)) + 1 and
+kappa = KAPPA_GROWTH tr X. kappa = tr X would make the t-gradient of the
+barrier vanish at that point, but the centering at that kappa seldom
+certifies before it has converged, so the path starts one growth step
+later. The initial kappa is a free choice (Boyd & Vandenberghe, Convex
+Optimization, 2004, sec. 11.3.1); the stopping and give-up rules do not
+depend on it.
+
 For small n the cost is the number of numpy calls, so each one is made
 once: a line-search trial builds F(w) once and factors tI - F once, the
 accepted trial's F gives lambda_max and its barrier value is carried to
@@ -138,9 +146,11 @@ def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
     """Minimize lambda_max(F(w)) over w > 0, sum(w) = 2n, for the pair (a, b).
 
     Returns at once when w = 1 reaches stop, and as soon as any accepted
-    Newton step does. Gives up after a centering when the optimum cannot
-    reach -tol (t - gap > -tol) or the gap DEGREE_PER_N * n / kappa is
-    below MIN_GAP; max_iter caps the total number of Newton steps.
+    Newton step does; otherwise the path starts there, at
+    t = lambda_max + 1 and kappa = KAPPA_GROWTH tr (tI - F)^-1. Gives up
+    after a centering when the optimum cannot reach -tol
+    (t - gap > -tol) or the gap DEGREE_PER_N * n / kappa is below MIN_GAP;
+    max_iter caps the total number of Newton steps.
     """
     v = np.hstack([np.asarray(a, dtype=float), np.asarray(b, dtype=float)])
     n = v.shape[0]
@@ -153,7 +163,7 @@ def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
     t = lam + 1.0
     chol = _chol(f, t)
     linv = np.linalg.inv(chol)
-    kappa = float(np.sum(linv * linv))  # tr (tI - F)^-1
+    kappa = KAPPA_GROWTH * float(np.sum(linv * linv))  # one growth step past tr (tI - F)^-1
     steps = 0
     while steps < max_iter:
         phi = _barrier(kappa, t, w, chol)  # depends on kappa; the line search carries it within a centering

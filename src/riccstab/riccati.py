@@ -132,7 +132,9 @@ class Verdict:
     infeasible). samples_tried counts the candidate witness matrices covered
     up to the witness: a screen that finds none covers 2 + (5^n - 1) / 2 at
     n <= 6 (the two extremes and the rank-one sign matrices, whose images
-    have 3^n - 1 distinct minors) and 2 above; each Gram sample adds one."""
+    have 3^n - 1 distinct minors) and 2 above; each Gram sample adds one.
+    It is 0 on a pair certified at unit weights, for which the screen does
+    not run, and the whole screen's count on a pair the barrier certifies."""
 
     status: str
     certificate: RiccatiCertificate | None = None
@@ -354,21 +356,26 @@ def _sign_minors(pair: MatrixPair) -> np.ndarray:
     )
 
 
-def _first_sign_hit(nonpositive: np.ndarray, n: int) -> tuple[np.ndarray | None, int]:
-    """The rank-one sign witness of the first table entry <= 0 and the count
-    of (d, e) candidates up to it, or None and the total.
+def _sign_hits(nonpositive: np.ndarray, n: int):
+    """The rank-one sign witnesses of the table entries <= 0, in table
+    order, each with the count of (d, e) candidates up to its entry.
 
     The count is that of the (d, e) candidates, d_0 = +1 (the global flip is
     redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In their
     order (subsets by size then lexicographic, then d, then e, both in
-    binary counter order) the first violation has d = 1 and e = sigma.
+    binary counter order) each violation is first met at d = 1, e = sigma.
+    Entries whose e agree share their witness, so only the first of them
+    is yielded.
     """
     plan = _sign_plan(n)
-    hits = np.flatnonzero(nonpositive)
-    if not hits.size:
-        return None, (5**n - 1) // 2
-    s_vec = np.concatenate([np.ones(n), plan.e[hits[0]]])
-    return np.outer(s_vec, s_vec), int(plan.tried[hits[0]])
+    seen = set()
+    for hit in np.flatnonzero(nonpositive):
+        e = plan.e[hit]
+        key = e.tobytes()
+        if key not in seen:
+            seen.add(key)
+            s_vec = np.concatenate([np.ones(n), e])
+            yield np.outer(s_vec, s_vec), int(plan.tried[hit])
 
 
 def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
@@ -380,9 +387,10 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
     above it, where the screen is the extremes alone. make_witness, which
     checks the candidate through its own walk, runs only on a hit; a hit it
     refuses moves the screen on. Up to SIGN_ENUM_MAX_N every distinct minor
-    is evaluated once, in one table per call, and the enumeration takes its
-    first entry <= 0 (_first_sign_hit); when make_witness refuses that one,
-    the screen ends without a witness at its count.
+    is evaluated once, in one table per call, and the enumeration offers
+    make_witness the witness of each entry <= 0 in turn (_sign_hits), so a
+    table entry that rounding put at or below 0 does not hide a later one
+    that refutes.
     """
     n = pair.n
     small = n <= SIGN_ENUM_MAX_N
@@ -400,8 +408,11 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
                 return witness, tried
     if not small:
         return None, 2
-    s_full, enum_tried = _first_sign_hit(nonpositive, n)
-    return (None if s_full is None else make_witness(pair, s_full)), 2 + enum_tried
+    for s_full, enum_tried in _sign_hits(nonpositive, n):
+        witness = make_witness(pair, s_full)
+        if witness is not None:
+            return witness, 2 + enum_tried
+    return None, 2 + (5**n - 1) // 2
 
 
 def _gram_samples(pair: MatrixPair, n_samples: int, seed: int) -> tuple[CorrelationWitness | None, int]:
@@ -450,31 +461,50 @@ def refute_by_sampling(
     return witness, screened + sampled
 
 
+def _certificate(pair: MatrixPair, p: np.ndarray, q: np.ndarray, margin_req: float) -> RiccatiCertificate | None:
+    """(p, q) as a certificate when verify_certificate accepts it at margin_req."""
+    ok, margin = verify_certificate(pair, p, q, margin_req=margin_req)
+    return RiccatiCertificate(p=p, q=q, margin=margin) if ok else None
+
+
 def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Verdict:
     """Decide diagonal Riccati stability of a pair, with evidence.
 
-    Pipeline: a deterministic refutation screen (certain when it fires),
-    then the barrier solver lmi.minimize on the scaled pair (A, B)/s with
-    s = max|A| + max|B|, which minimizes lambda_max of the block form over
-    diagonal (P, Q) on the gauge sum(p) + sum(q) = 2n. Its point (p, q)
-    maps back as (p, s q), the block form scaling by s, and must pass
-    verify_certificate at margin tol * s before Feasible is returned, so
-    c (A, B) gets the verdict of (A, B). Otherwise random Gram witnesses
-    are sampled without repeating the screen; when that also fails the
-    verdict is Unknown with the best margin found, in the pair's units.
+    Pipeline, on the scaled pair (A, B)/s with s = max|A| + max|B|, whose
+    block form is that of (A, B) divided by s: first unit weights
+    P = Q = I, which certify when lambda_max of the scaled block reaches
+    stop_value(); then the deterministic refutation screen (certain when it
+    fires); then the barrier solver lmi.minimize, which minimizes
+    lambda_max of the block form over diagonal (P, Q) on the gauge
+    sum(p) + sum(q) = 2n. A point (p, q) maps back as (p, s q) and must
+    pass verify_certificate at margin tol * s before Feasible is returned,
+    so c (A, B) gets the verdict of (A, B). A pair certified at unit
+    weights skips the screen, which cannot refute it, and reports
+    samples_tried = 0. When the solver does not certify either, random Gram
+    witnesses are sampled without repeating the screen; when that also
+    fails the verdict is Unknown with the best margin found, in the pair's
+    units. A = B = 0 (s = 0) goes straight to the screen, which refutes it.
     """
     opts = options or SolveOptions()
+    s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
+    # lambda_max of the scaled block at unit weights is at least its largest
+    # diagonal entry, 2 max a_ii / s + 1: most pairs fail that test already
+    if s > 0.0 and 2.0 * (float(pair.a.diagonal().max()) / s) + 1.0 <= opts.stop_value():
+        ones = np.ones(pair.n)
+        if float(np.linalg.eigvalsh(_block_full(pair.a / s, pair.b / s, ones, ones))[-1]) <= opts.stop_value():
+            cert = _certificate(pair, ones, s * ones, opts.tol * s)
+            if cert is not None:
+                return Verdict.feasible(cert)
+
     witness, screened = _deterministic_refutation(pair)
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=screened)
 
-    s = float(np.abs(pair.a).max() + np.abs(pair.b).max())  # > 0: the screen refutes A = B = 0
-    found = minimize(pair.a / s, pair.b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)
+    found = minimize(pair.a / s, pair.b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)  # s > 0 here
     if found.lam <= -opts.tol:
-        p, q = found.p, s * found.q
-        ok, margin = verify_certificate(pair, p, q, margin_req=opts.tol * s)
-        if ok:
-            return Verdict.feasible(RiccatiCertificate(p=p, q=q, margin=margin), samples_tried=screened)
+        cert = _certificate(pair, found.p, s * found.q, opts.tol * s)
+        if cert is not None:
+            return Verdict.feasible(cert, samples_tried=screened)
 
     witness, sampled = _gram_samples(pair, opts.samples, opts.seed)
     total = screened + sampled

@@ -1,8 +1,10 @@
 """Command-line front-end: dispatch, exit codes, and report determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +216,37 @@ def test_solve_options_out_of_range_exit_one_naming_the_field(tmp_path, capsys, 
     assert name in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("max_iter", 2.7),
+        ("max_iter", True),
+        ("seed", 0.5),
+        ("seed", True),
+        ("samples", 1.5),
+        ("samples", False),
+        ("samples", "8"),
+        ("tol", True),
+        ("tol", "1e-7"),
+    ],
+)
+@pytest.mark.parametrize("command", ["check", "refute"])
+def test_malformed_file_options_exit_one_naming_the_option(tmp_path, capsys, command, key, value):
+    # JSON true is not 1 and 2.7 is not 2: a problem file's options are taken as written or refused
+    problem = dict(README_PAIR, options={key: value})
+    code, out, err = run_main(capsys, [command, write(tmp_path, problem)])
+    assert code == 1
+    assert out == ""
+    assert key in err
+
+
+def test_integral_file_options_are_accepted(tmp_path, capsys):
+    problem = dict(README_PAIR, options={"tol": 0, "max_iter": 60.0, "seed": 2, "samples": 8.0})
+    code, out, _ = run_main(capsys, ["check", write(tmp_path, problem)])
+    assert code == 0
+    assert json.loads(out)["status"] == "Feasible"
+
+
 def test_selftest_refuses_a_negative_seed_naming_it(capsys):
     code, out, err = run_main(capsys, ["selftest", "--seed", "-3"])
     assert code == 1
@@ -272,11 +305,21 @@ def test_csv_format_rejected_outside_simulate(tmp_path):
     assert exc.value.code == 1
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def python(*argv):
+    """Run the interpreter on argv with the package's source tree importable,
+    whether or not PYTHONPATH names it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+
+
 def test_reports_byte_identical_across_processes(tmp_path):
     path = write(tmp_path, CHAIN)
-    cmd = [sys.executable, "-m", "riccstab.cli", "check", path, "--seed", "3"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    cmd = ["-m", "riccstab.cli", "check", path, "--seed", "3"]
+    first = python(*cmd)
+    second = python(*cmd)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.strip() != ""
@@ -284,8 +327,8 @@ def test_reports_byte_identical_across_processes(tmp_path):
 
 def test_package_runs_as_a_module(tmp_path):
     path = write(tmp_path, CHAIN)
-    as_package = subprocess.run([sys.executable, "-m", "riccstab", "check", path], capture_output=True, text=True)
-    as_cli = subprocess.run([sys.executable, "-m", "riccstab.cli", "check", path], capture_output=True, text=True)
+    as_package = python("-m", "riccstab", "check", path)
+    as_cli = python("-m", "riccstab.cli", "check", path)
     assert as_package.returncode == 0, as_package.stderr
     assert as_package.stdout == as_cli.stdout
     assert json.loads(as_package.stdout)["status"] == "Feasible"
@@ -293,6 +336,6 @@ def test_package_runs_as_a_module(tmp_path):
 
 def test_import_does_not_load_scipy():
     code = "import sys, riccstab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

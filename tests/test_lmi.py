@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from riccstab import lmi
+from riccstab.acceptance import (
+    MARGIN_FILTER,
+    _chain_instance,
+    _fan_in_instance,
+    _metzler_pair,
+    _signature_conjugate,
+    _strong_feasible_pair,
+)
+from riccstab.classes import Stability, chain_feedback_condition, fan_in_feedback_condition
 from riccstab.lmi import _block, _chol, _newton_system, minimize
+from riccstab.matcore import spectral_abscissa
 from riccstab.riccati import MatrixPair, SolveOptions, Verdict, solve_diagonal
 
 
@@ -121,3 +131,63 @@ def test_minimize_builds_one_block_per_line_search_trial(monkeypatch):
     # builds F once and factors it once; lambda_max is read from the accepted F
     assert counts["_block"] == counts["cholesky"] > found.steps
     assert counts["eigvalsh"] == found.steps + 1
+
+
+def _feasible_family(rng, per_kind=25):
+    """Feasible pairs from the battery's generators, kept by the class
+    oracles, not by the solver: strongly dominant pairs n = 2..8, Metzler
+    pairs with A + B Hurwitz (conjugated by signatures), and stable 3x3
+    chain and fan-in instances, each clear of the oracle's margin band."""
+    for _ in range(per_kind):
+        yield _strong_feasible_pair(rng, int(rng.integers(2, 9)))
+    kept = 0
+    while kept < per_kind:
+        pair = _metzler_pair(rng, int(rng.integers(2, 6)))
+        if spectral_abscissa(pair.a + pair.b) < -MARGIN_FILTER:
+            kept += 1
+            yield _signature_conjugate(rng, pair)
+    for generator, condition in ((_chain_instance, chain_feedback_condition), (_fan_in_instance, fan_in_feedback_condition)):
+        kept = 0
+        while kept < per_kind:
+            pair = generator(rng)
+            verdict = condition(pair)
+            if verdict.stable is Stability.STABLE and min(map(abs, verdict.condition_values.values())) >= MARGIN_FILTER:
+                kept += 1
+                yield pair
+
+
+def _generic_family(rng, sizes=(16, 24), per_n=5):
+    """Generic pairs A = G - diag(u) sqrt(n), u ~ U(0.5, 2.5), B = G'; at
+    these sizes none is certified."""
+    for n in sizes:
+        for _ in range(per_n):
+            g = rng.standard_normal((n, n))
+            yield MatrixPair(g - np.diag(rng.uniform(0.5, 2.5, n)) * np.sqrt(n), rng.standard_normal((n, n)))
+
+
+def _newton_steps(pairs):
+    """Total Newton steps of minimize over the pairs and how many it certified."""
+    opts = SolveOptions()
+    steps = certified = 0
+    for pair in pairs:
+        s = np.abs(pair.a).max() + np.abs(pair.b).max()
+        found = minimize(pair.a / s, pair.b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)
+        steps += found.steps
+        certified += found.lam <= -opts.tol
+    return steps, certified
+
+
+def test_newton_step_budget_on_feasible_pairs():
+    # the path started at kappa = tr (tI - F)^-1 took 498 steps here; one
+    # growth step up skips that first centering, which rarely certifies (290)
+    steps, certified = _newton_steps(_feasible_family(np.random.default_rng([0, 13])))
+    assert certified == 100
+    assert steps <= 350
+
+
+def test_newton_step_budget_on_generic_pairs_that_do_not_certify():
+    # 202 steps with the path started at kappa = tr (tI - F)^-1 (169 now):
+    # a later start must not make the give-up rules slower to fire
+    steps, certified = _newton_steps(_generic_family(np.random.default_rng([0, 14])))
+    assert certified == 0
+    assert steps <= 202

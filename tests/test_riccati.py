@@ -16,7 +16,7 @@ from riccstab.riccati import (
     SolveOptions,
     Verdict,
     _deterministic_refutation,
-    _first_sign_hit,
+    _sign_hits,
     _sign_minors,
     block_lmi,
     refute_by_sampling,
@@ -138,8 +138,8 @@ def reference_screen(pair: MatrixPair):
 
 
 def table_sign_search(pair: MatrixPair):
-    """The enumeration as the screen reads it from its table."""
-    return _first_sign_hit(_sign_minors(pair) <= 0.0, pair.n)
+    """The enumeration's first hit as the screen reads it from its table."""
+    return next(_sign_hits(_sign_minors(pair) <= 0.0, pair.n), (None, (5**pair.n - 1) // 2))
 
 
 def _first_hit_size(tried: int, n: int) -> int:
@@ -613,3 +613,69 @@ def test_solve_feasible_at_small_scale():
     verdict = solve_diagonal(pair)
     assert verdict.status == Verdict.FEASIBLE
     assert verify_certificate(pair, verdict.certificate.p, verdict.certificate.q)[0]
+
+
+# an integer pair whose sign table, times 1e150, holds entries that det rounds
+# to -0.0 at counts 59 and 60 although the images of their witnesses are
+# P-matrices (make_witness refuses them); the entry at count 190 refutes
+REFUSED_HIT_PAIR = MatrixPair(
+    [[-2.0, 2.0, -2.0, -1.0], [-4.0, -3.0, 2.0, -2.0], [1.0, 2.0, -4.0, 0.0], [0.0, 3.0, -3.0, -5.0]],
+    [[1.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, -3.0], [0.0, -1.0, 0.0, -1.0]],
+)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e150])
+def test_screen_moves_past_a_hit_make_witness_refuses(c):
+    pair = MatrixPair(c * REFUSED_HIT_PAIR.a, c * REFUSED_HIT_PAIR.b)
+    expected, _ = _deterministic_refutation(REFUSED_HIT_PAIR)
+    verdict = solve_diagonal(pair)
+    assert verdict.status == Verdict.REFUTED
+    assert verdict.samples_tried == 2 + 190
+    assert np.array_equal(verdict.witness.s.full, expected.s.full)
+
+
+def test_screen_whose_hits_are_all_refused_covers_the_enumeration(monkeypatch):
+    offered = []
+
+    def refuse(pair, s_full):
+        offered.append(s_full[0, pair.n :].tobytes())
+        return None
+
+    monkeypatch.setattr(riccati, "make_witness", refuse)
+    n = 4
+    witness, tried = _deterministic_refutation(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # every entry of size 1 fails
+    assert witness is None
+    assert tried == 2 + (5**n - 1) // 2
+    # the + extreme, then each distinct e of the table's failing entries once:
+    # every e but -1, whose image 3I is a P-matrix
+    assert len(offered[1:]) == len(set(offered[1:])) == 2**n - 1
+
+
+@pytest.mark.parametrize("pair", [MatrixPair([[-2.0]], [[1.0]]), INVARIANCE_BASES[1]], ids=["scalar", "dense3"])
+def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
+    def screen(pair):
+        raise AssertionError("the screen ran on a pair that unit weights certify")
+
+    monkeypatch.setattr(riccati, "_deterministic_refutation", screen)
+    monkeypatch.setattr(riccati, "minimize", screen)
+    s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
+    verdict = solve_diagonal(pair)
+    assert verdict.status == Verdict.FEASIBLE
+    assert verdict.samples_tried == 0
+    cert = verdict.certificate
+    assert np.array_equal(cert.p, np.ones(pair.n)) and np.array_equal(cert.q, np.full(pair.n, s))
+    assert verify_certificate(pair, cert.p, cert.q, margin_req=SolveOptions().tol * s)[0]
+
+
+def test_pair_not_certified_at_unit_weights_runs_the_screen_first():
+    # the README pair needs one Newton step: Feasible after the whole screen
+    verdict = solve_diagonal(INVARIANCE_BASES[0])
+    assert verdict.status == Verdict.FEASIBLE
+    assert verdict.samples_tried == 2 + (5**2 - 1) // 2
+
+
+@pytest.mark.parametrize("n", [1, 3, MAX_P_SIZE + 1])
+def test_zero_pair_is_refuted_by_the_screen(n):
+    verdict = solve_diagonal(MatrixPair(np.zeros((n, n)), np.zeros((n, n))))
+    assert verdict.status == Verdict.REFUTED
+    assert verdict.samples_tried == 1
