@@ -53,7 +53,7 @@ from .riccati import (
     SolveOptions,
     Verdict,
     block_lmi,
-    refute_by_sampling,
+    refute,
     riccati_form,
     solve_diagonal,
     verify_certificate,
@@ -110,7 +110,7 @@ __all__ = [
     "metzler_nonneg_condition",
     "normalize_correlation",
     "p_sign_witness",
-    "refute_by_sampling",
+    "refute",
     "riccati_form",
     "simulate",
     "solve_diagonal",

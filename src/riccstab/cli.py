@@ -3,7 +3,7 @@
 Reads a problem file (JSON with matrices A and B, optional tau list,
 options, and scaling spec), dispatches to the solver, classifier, refuter,
 transformer, or simulator, and emits machine-readable reports. Output is
-deterministic for fixed inputs and seed.
+deterministic for fixed inputs.
 
 Exit codes: 0 definitive answer, 2 undecided (Unknown verdict, Marginal
 class, missing witness, or a failed decay run), 1 input or usage error.
@@ -22,7 +22,7 @@ from . import acceptance
 from .classes import UNSTRUCTURED, Stability, classify, evaluate_class
 from .ddesim import decay_report, export_csv, lk_functional, simulate
 from .errors import RiccstabError
-from .riccati import MatrixPair, SolveOptions, Verdict, refute_by_sampling, solve_diagonal
+from .riccati import MatrixPair, SolveOptions, Verdict, refute, solve_diagonal
 from .transforms import ScalingPair, dad_transform
 
 EXIT_OK = 0
@@ -47,8 +47,8 @@ def _build_parser() -> _Parser:
         if needs_file:
             p.add_argument("problem", help="path to a JSON problem file")
         p.add_argument("--tol", type=float, default=None, help="feasibility margin tolerance")
-        p.add_argument("--seed", type=int, default=None, help="seed of the Gram witness sampler, which runs only when the solver cannot certify (selftest: the battery seed)")
-        p.add_argument("--samples", type=int, default=None, help="random refutation sample budget")
+        p.add_argument("--seed", type=int, default=None, help="selftest: the battery seed; other commands accept and ignore it")
+        p.add_argument("--samples", type=int, default=None, help="accepted and ignored, for compatibility")
         p.add_argument("--max-iter", type=int, default=None, help="cap on the barrier solver's Newton steps")
         p.add_argument("--tau", default=None, help="comma-separated delay list for simulation")
         p.add_argument("--horizon", type=float, default=None, help="simulation end time")
@@ -84,46 +84,55 @@ def _problem_pair(data: dict) -> MatrixPair:
     return MatrixPair(data["A"], data["B"])
 
 
-def _solve_options(data: dict, args) -> SolveOptions:
+def _file_options(data: dict) -> dict:
     opts = data.get("options") or {}
     if not isinstance(opts, dict):
         raise RiccstabError("options must be a JSON object")
+    return opts
 
-    def pick(flag_value, key, default, integral=True):
-        """The flag, else the file's value, which must be a JSON number
-        (not true or false) and, for a count or seed, integral."""
-        if flag_value is not None:
-            return flag_value
-        value = opts.get(key, default)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or (integral and isinstance(value, float) and not value.is_integer()):
-            kind = "an integer" if integral else "a number"
-            raise RiccstabError(f"options.{key} must be {kind}, got {json.dumps(value)}")
-        return value
 
+def _pick(flag_value, value, name: str, integral: bool = True):
+    """The flag, else the file's value, which must be a JSON number (not
+    true or false) and, for a count or seed, integral."""
+    if flag_value is not None:
+        return flag_value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (integral and isinstance(value, float) and not value.is_integer()):
+        kind = "an integer" if integral else "a number"
+        raise RiccstabError(f"{name} must be {kind}, got {json.dumps(value)}")
+    return value
+
+
+def _solve_options(data: dict, args) -> SolveOptions:
+    """SolveOptions from the flags and the file's options. seed and samples
+    are accepted for compatibility and checked like the others, but no
+    solver reads them."""
+    opts = _file_options(data)
+    for flag_value, key in ((args.seed, "seed"), (args.samples, "samples")):
+        value = _pick(flag_value, opts.get(key, 0), f"options.{key}")
+        if value < 0:
+            raise RiccstabError(f"{key} must be >= 0, got {value}")
     base = SolveOptions()
     return SolveOptions(
-        tol=float(pick(args.tol, "tol", base.tol, integral=False)),
-        seed=int(pick(args.seed, "seed", base.seed)),
-        samples=int(pick(args.samples, "samples", base.samples)),
-        max_iter=int(pick(args.max_iter, "max_iter", base.max_iter)),
+        tol=float(_pick(args.tol, opts.get("tol", base.tol), "options.tol", integral=False)),
+        max_iter=int(_pick(args.max_iter, opts.get("max_iter", base.max_iter), "options.max_iter")),
     )
 
 
 def _sim_params(data: dict, args) -> tuple[list[float], float, float]:
-    opts = data.get("options") or {}
+    opts = _file_options(data)
     tau = data.get("tau", [0.0])
     if args.tau is not None:
         taus = [float(part) for part in args.tau.split(",") if part.strip() != ""]
     elif isinstance(tau, list):
-        taus = [float(t) for t in tau]
+        taus = [float(_pick(None, t, "tau", integral=False)) for t in tau]
     elif isinstance(tau, (int, float)) and not isinstance(tau, bool):
         taus = [float(tau)]
     else:
         raise RiccstabError(f"tau must be a number or a list of numbers, got {json.dumps(tau)}")
     if not taus:
         raise RiccstabError("empty delay list")
-    horizon = float(args.horizon if args.horizon is not None else opts.get("horizon", 60.0))
-    step = float(args.step if args.step is not None else opts.get("step", 0.02))
+    horizon = float(_pick(args.horizon, opts.get("horizon", 60.0), "options.horizon", integral=False))
+    step = float(_pick(args.step, opts.get("step", 0.02), "options.step", integral=False))
     return taus, horizon, step
 
 
@@ -161,8 +170,8 @@ def _cmd_classify(data: dict, args) -> int:
 
 
 def _cmd_refute(data: dict, args) -> int:
-    opts = _solve_options(data, args)
-    witness, tried = refute_by_sampling(_problem_pair(data), n_samples=opts.samples, seed=opts.seed)
+    _solve_options(data, args)  # refuses what check refuses, though refute reads none of it
+    witness, tried = refute(_problem_pair(data))
     if witness is None:
         _emit_json({"samples_tried": tried, "witness": None}, args.out)
         return EXIT_UNDECIDED

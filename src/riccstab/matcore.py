@@ -1,11 +1,11 @@
 """Dense matrix utilities, symmetric spectra and a definiteness proof.
 
-Everything downstream leans on this module: entrywise (Hadamard) products,
-sign envelopes, LAPACK spectra of symmetric matrices, a rounding-safe
-Cholesky proof of negative definiteness that holds however accurate the
-eigenvalues are, and a tri-state Hurwitz test that bands the spectral
-abscissa relative to the size of the entries. Matrices are dense,
-row-major numpy arrays of float64. All functions are pure.
+Everything downstream leans on this module: sign envelopes, LAPACK
+spectra of symmetric matrices, a rounding-safe Cholesky proof of negative
+definiteness that holds however accurate the eigenvalues are, and a
+tri-state Hurwitz test that bands the spectral abscissa relative to the
+size of the entries. Matrices are dense, row-major numpy arrays of
+float64. All functions are pure.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-DEFINITENESS_TOL = 1e-10
 HURWITZ_MARGIN = 1e-9
 SYMMETRY_RTOL = 1e-10
 
@@ -57,15 +56,6 @@ def as_positive_vector(obj, n: int | None = None) -> np.ndarray:
     if (v <= 0.0).any():
         raise ContractError("vector entries must be strictly positive")
     return v
-
-
-def hadamard(x, y) -> np.ndarray:
-    """Entrywise product of two same-shaped matrices."""
-    a = as_matrix(x)
-    b = as_matrix(y)
-    if a.shape != b.shape:
-        raise DimensionError(f"shape mismatch for entrywise product: {a.shape} vs {b.shape}")
-    return a * b
 
 
 class SignEnvelopes(NamedTuple):
@@ -199,14 +189,6 @@ def _proves_negative_definite(a: np.ndarray, margin: float) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def is_positive_definite(m, tol: float = DEFINITENESS_TOL) -> bool:
-    return sym_spectrum(m).min() > tol
-
-
-def is_negative_definite(m, tol: float = DEFINITENESS_TOL) -> bool:
-    return sym_spectrum(m).abscissa < -tol
 
 
 class HurwitzResult(str, enum.Enum):

@@ -10,7 +10,7 @@ Infeasibility is certified through unit-diagonal positive semidefinite
 matrices S: if -(A o S11 + B o S12) fails to be a P-matrix for some such S
 (o is the entrywise product), no diagonal certificate can exist.
 
-All functions are pure and deterministic for a fixed seed.
+All functions are pure and deterministic.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays impor
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
-DEFAULT_SAMPLES = 64
 WITNESS_PSD_TOL = 1e-10
 SIGN_ENUM_MAX_N = 6
 SCHUR_SIGN_TOL = 1e-9
@@ -132,9 +131,9 @@ class Verdict:
     infeasible). samples_tried counts the candidate witness matrices covered
     up to the witness: a screen that finds none covers 2 + (5^n - 1) / 2 at
     n <= 6 (the two extremes and the rank-one sign matrices, whose images
-    have 3^n - 1 distinct minors) and 2 above; each Gram sample adds one.
-    It is 0 on a pair certified at unit weights, for which the screen does
-    not run, and the whole screen's count on a pair the barrier certifies."""
+    have 3^n - 1 distinct minors) and 2 above. It is 0 on a pair certified
+    at unit weights, for which the screen does not run, and the whole
+    screen's count on a pair the barrier certifies or leaves Unknown."""
 
     status: str
     certificate: RiccatiCertificate | None = None
@@ -180,23 +179,18 @@ class SolveOptions:
     tol and stop_value() are relative to the pair's scale
     s = max|A| + max|B|: the barrier solver works on (A, B)/s, and a
     certificate must verify at margin tol * s. max_iter caps its Newton
-    steps. seed and samples drive only the random Gram fallback that runs
-    when the solver cannot certify. A non-finite or negative tol and a
-    negative seed, max_iter or samples are refused with a ContractError
-    that names the field.
+    steps. A non-finite or negative tol and a negative max_iter are refused
+    with a ContractError that names the field.
     """
 
     tol: float = DEFAULT_TOL
-    seed: int = 0
     max_iter: int = DEFAULT_MAX_ITER
-    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol >= 0.0):
             raise ContractError(f"tol must be finite and >= 0, got {self.tol}")
-        for name in ("seed", "max_iter", "samples"):
-            if getattr(self, name) < 0:
-                raise ContractError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.max_iter < 0:
+            raise ContractError(f"max_iter must be >= 0, got {self.max_iter}")
 
     def stop_value(self) -> float:
         """lambda_max of the scaled block at which the solver stops: clearly feasible."""
@@ -378,10 +372,11 @@ def _sign_hits(nonpositive: np.ndarray, n: int):
             yield np.outer(s_vec, s_vec), int(plan.tried[hit])
 
 
-def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
-    """The two structured extremes, then the rank-one sign enumeration.
+def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
+    """Search for an infeasibility witness; returns (witness or None, tried).
 
-    The extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
+    The two structured extremes, then the rank-one sign enumeration. The
+    extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
     and their image is -(A +- B): the minors of sigma = +-1 in the table of
     _sign_minors up to n = SIGN_ENUM_MAX_N, the walk of nonpositive_minor
     above it, where the screen is the extremes alone. make_witness, which
@@ -390,7 +385,8 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
     is evaluated once, in one table per call, and the enumeration offers
     make_witness the witness of each entry <= 0 in turn (_sign_hits), so a
     table entry that rounding put at or below 0 does not hide a later one
-    that refutes.
+    that refutes. tried counts the candidates up to the witness, all
+    (5^n - 1) / 2 sign matrices of the enumeration included (see Verdict).
     """
     n = pair.n
     small = n <= SIGN_ENUM_MAX_N
@@ -415,52 +411,6 @@ def _deterministic_refutation(pair: MatrixPair) -> tuple[CorrelationWitness | No
     return None, 2 + (5**n - 1) // 2
 
 
-def _gram_samples(pair: MatrixPair, n_samples: int, seed: int) -> tuple[CorrelationWitness | None, int]:
-    """The Gram phase of refute_by_sampling: (first witness or None, tried)."""
-    if n_samples < 0:
-        raise ContractError("n_samples must be >= 0")
-    rng = np.random.default_rng(seed)
-    dim = 2 * pair.n
-    for tried in range(1, n_samples + 1):
-        g = rng.standard_normal((dim, dim))
-        norms = np.linalg.norm(g, axis=0)
-        norms[norms == 0.0] = 1.0
-        g = g / norms[None, :]
-        s = g.T @ g
-        np.fill_diagonal(s, 1.0)
-        witness = make_witness(pair, s)
-        if witness is not None:
-            return witness, tried
-    return None, n_samples
-
-
-def refute_by_sampling(
-    pair: MatrixPair, n_samples: int = DEFAULT_SAMPLES, seed: int = 0
-) -> tuple[CorrelationWitness | None, int]:
-    """Search for an infeasibility witness; returns (witness or None, tried).
-
-    Deterministic phase first: the all-ones extreme, the extreme with the
-    off-diagonal block negated, then every rank-one sign matrix (n <= 6).
-    Up to n = 6 all of these are read from one table of the 3^n - 1
-    distinct minors of their images, each evaluated once on the pair
-    rescaled by a power of two, while tried counts all (5^n - 1) / 2 sign
-    matrices (_deterministic_refutation). After that, n_samples random
-    unit-column Gram matrices S = G'G with G drawn 2n x 2n standard normal
-    and columns normalized. tried counts all of these up to the witness.
-    Identical seeds give identical outcomes; a negative seed or n_samples
-    is refused.
-    """
-    if n_samples < 0:
-        raise ContractError("n_samples must be >= 0")
-    if seed < 0:
-        raise ContractError(f"seed must be >= 0, got {seed}")
-    witness, screened = _deterministic_refutation(pair)
-    if witness is not None:
-        return witness, screened
-    witness, sampled = _gram_samples(pair, n_samples, seed)
-    return witness, screened + sampled
-
-
 def _certificate(pair: MatrixPair, p: np.ndarray, q: np.ndarray, margin_req: float) -> RiccatiCertificate | None:
     """(p, q) as a certificate when verify_certificate accepts it at margin_req."""
     ok, margin = verify_certificate(pair, p, q, margin_req=margin_req)
@@ -480,10 +430,10 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     pass verify_certificate at margin tol * s before Feasible is returned,
     so c (A, B) gets the verdict of (A, B). A pair certified at unit
     weights skips the screen, which cannot refute it, and reports
-    samples_tried = 0. When the solver does not certify either, random Gram
-    witnesses are sampled without repeating the screen; when that also
-    fails the verdict is Unknown with the best margin found, in the pair's
-    units. A = B = 0 (s = 0) goes straight to the screen, which refutes it.
+    samples_tried = 0. When the solver does not certify either, the verdict
+    is Unknown with the best margin found, in the pair's units, and the
+    screen's samples_tried. A = B = 0 (s = 0) goes straight to the screen,
+    which refutes it.
     """
     opts = options or SolveOptions()
     s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
@@ -496,7 +446,7 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
             if cert is not None:
                 return Verdict.feasible(cert)
 
-    witness, screened = _deterministic_refutation(pair)
+    witness, screened = refute(pair)
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=screened)
 
@@ -505,9 +455,4 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
         cert = _certificate(pair, found.p, s * found.q, opts.tol * s)
         if cert is not None:
             return Verdict.feasible(cert, samples_tried=screened)
-
-    witness, sampled = _gram_samples(pair, opts.samples, opts.seed)
-    total = screened + sampled
-    if witness is not None:
-        return Verdict.refuted(witness, samples_tried=total)
-    return Verdict.unknown(best_margin=-s * found.lam, samples_tried=total)
+    return Verdict.unknown(best_margin=-s * found.lam, samples_tried=screened)

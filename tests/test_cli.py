@@ -12,6 +12,7 @@ import pytest
 from riccstab import acceptance
 from riccstab.acceptance import SelftestResult
 from riccstab.cli import main
+from riccstab.riccati import MatrixPair, refute
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
 REFUTED = {"A": [[-1.0]], "B": [[2.0]]}
@@ -78,6 +79,29 @@ def test_refute_emits_witness_or_empty(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE), "--samples", "16"])
     assert code == 2
     assert json.loads(out)["witness"] is None
+
+
+# feasible with margin about 1e-9, below the default tol: check ends Unknown
+BOUNDARY = {"A": [[-1.0]], "B": [[1.0 - 1e-9]]}
+
+
+def test_check_output_does_not_depend_on_seed_or_samples(tmp_path, capsys):
+    outputs = set()
+    for keys in ({}, {"options": {"seed": 3, "samples": 16}}):
+        path = write(tmp_path, dict(BOUNDARY, **keys))
+        for flags in ([], ["--seed", "3", "--samples", "16"]):
+            code, out, _ = run_main(capsys, ["check", path] + flags)
+            assert code == 2
+            outputs.add(out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["status"] == "Unknown"
+
+
+def test_refute_reports_the_screen_count_when_nothing_refutes(tmp_path, capsys):
+    _, screened = refute(MatrixPair(BOUNDARY["A"], BOUNDARY["B"]))
+    code, out, _ = run_main(capsys, ["refute", write(tmp_path, BOUNDARY)])
+    assert code == 2
+    assert json.loads(out) == {"samples_tried": screened, "witness": None}
 
 
 def test_check_answers_above_the_minor_walk_cap(tmp_path, capsys):
@@ -189,6 +213,25 @@ def test_input_errors_exit_one(tmp_path, capsys):
 )
 def test_simulate_rejects_unusable_grid_arguments(tmp_path, capsys, flags, name):
     code, out, err = run_main(capsys, ["simulate", write(tmp_path, FEASIBLE)] + flags)
+    assert code == 1
+    assert out == ""
+    assert name in err
+
+
+@pytest.mark.parametrize(
+    "keys, name",
+    [
+        ({"options": {"horizon": True, "step": 0.5}}, "horizon"),
+        ({"options": {"horizon": "5"}}, "horizon"),
+        ({"options": {"step": True}}, "step"),
+        ({"tau": [True]}, "tau"),
+        ({"tau": [0.0, "1"]}, "tau"),
+        ({"options": [60.0]}, "options"),
+    ],
+)
+def test_simulate_refuses_file_values_that_are_not_numbers(tmp_path, capsys, keys, name):
+    # JSON true is not 1 and "5" is not 5, as for the solver's options
+    code, out, err = run_main(capsys, ["simulate", write(tmp_path, dict(FEASIBLE, **keys))])
     assert code == 1
     assert out == ""
     assert name in err

@@ -1,6 +1,6 @@
-"""Core matrix helpers: Hadamard products, sign envelopes, symmetric
-spectra against a Jacobi reference, the Cholesky definiteness proof against
-an exact oracle, and the abscissa-based Hurwitz test."""
+"""Core matrix helpers: sign envelopes, symmetric spectra against a Jacobi
+reference, the Cholesky definiteness proof against an exact oracle, and
+the abscissa-based Hurwitz test."""
 
 from fractions import Fraction
 
@@ -10,12 +10,9 @@ import pytest
 from riccstab.errors import ContractError, NumericError
 from riccstab.matcore import (
     HurwitzResult,
-    hadamard,
     is_hurwitz,
     is_metzler,
-    is_negative_definite,
     is_nonnegative,
-    is_positive_definite,
     proves_negative_definite,
     sign_envelopes,
     sym_spectrum,
@@ -109,30 +106,6 @@ def oracle_negative_definite(m, margin):
     return None if pivots is None else min(pivots)
 
 
-def test_hadamard_identity_mask():
-    m = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(hadamard(np.eye(2), m), np.diag([1.0, 4.0]))
-
-
-def test_hadamard_all_ones_is_identity():
-    m = np.array([[1.0, -2.0], [0.5, 4.0]])
-    assert np.array_equal(hadamard(np.ones((2, 2)), m), m)
-
-
-def test_hadamard_by_hand():
-    out = hadamard([[1.0, 2.0], [3.0, 4.0]], [[2.0, 0.0], [0.0, 2.0]])
-    assert np.array_equal(out, [[2.0, 0.0], [0.0, 8.0]])
-
-
-def test_hadamard_algebra_random_triples():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        x, y, z = rng.standard_normal((3, 4, 4))
-        assert np.allclose(hadamard(x, y), hadamard(y, x), atol=1e-12)
-        assert np.allclose(hadamard(hadamard(x, y), z), hadamard(x, hadamard(y, z)), atol=1e-12)
-        assert np.allclose(hadamard(x, y + z), hadamard(x, y) + hadamard(x, z), atol=1e-12)
-
-
 def test_sign_envelopes_by_hand():
     env = sign_envelopes([[-1.0, -2.0], [3.0, -4.0]])
     assert np.array_equal(env.metzler, [[-1.0, 2.0], [3.0, -4.0]])
@@ -171,8 +144,6 @@ def test_sym_spectrum_negative_definite_case():
     root = np.sqrt(2.0)
     assert np.allclose(spec.eigenvalues, [-2.0 - root, -2.0 + root], atol=1e-12)
     assert spec.abscissa < 0.0
-    assert is_negative_definite([[-3.0, 1.0], [1.0, -1.0]])
-    assert is_positive_definite([[3.0, -1.0], [-1.0, 1.0]])
 
 
 def test_sym_spectrum_rejects_nonsymmetric():

@@ -15,11 +15,10 @@ from riccstab.riccati import (
     MatrixPair,
     SolveOptions,
     Verdict,
-    _deterministic_refutation,
     _sign_hits,
     _sign_minors,
     block_lmi,
-    refute_by_sampling,
+    refute,
     riccati_form,
     solve_diagonal,
     verify_certificate,
@@ -238,7 +237,7 @@ def test_solve_metzler_pair_feasible():
 
 
 def test_refute_scalar_first_extreme():
-    witness, tried = refute_by_sampling(MatrixPair([[-1.0]], [[2.0]]), n_samples=8, seed=0)
+    witness, tried = refute(MatrixPair([[-1.0]], [[2.0]]))
     assert witness is not None
     assert tried == 1
 
@@ -255,13 +254,13 @@ def test_json_shares_one_float_object_per_unit_value():
 
 
 def test_refute_finds_nothing_on_feasible_pair():
-    witness, _ = refute_by_sampling(MatrixPair([[-1.0]], [[0.5]]), n_samples=64, seed=0)
+    witness, _ = refute(MatrixPair([[-1.0]], [[0.5]]))
     assert witness is None
 
 
 def test_refute_diagonal_negative_a():
     pair = MatrixPair(np.diag([-1.0, -2.0]), np.zeros((2, 2)))
-    witness, _ = refute_by_sampling(pair, n_samples=1, seed=0)
+    witness, _ = refute(pair)
     assert witness is None
 
 
@@ -291,11 +290,10 @@ def test_block_joint_scaling_homogeneity():
         assert np.array_equal(block_lmi(pair, t * p, t * q).full, t * base)
 
 
-def test_solver_deterministic_for_fixed_seed():
+def test_solver_deterministic():
     pair = MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))
-    opts = SolveOptions(seed=5)
-    first = solve_diagonal(pair, opts)
-    second = solve_diagonal(pair, opts)
+    first = solve_diagonal(pair)
+    second = solve_diagonal(pair)
     assert first.to_json() == second.to_json()
 
 
@@ -306,8 +304,6 @@ def test_solver_deterministic_for_fixed_seed():
         ("tol", float("inf")),
         ("tol", -1.0),
         ("max_iter", -5),
-        ("samples", -3),
-        ("seed", -3),
     ],
 )
 def test_solve_options_refuse_out_of_range_values_naming_the_field(field, value):
@@ -316,7 +312,7 @@ def test_solve_options_refuse_out_of_range_values_naming_the_field(field, value)
 
 
 def test_solve_options_accept_zero_budgets():
-    opts = SolveOptions(tol=0.0, max_iter=0, samples=0)
+    opts = SolveOptions(tol=0.0, max_iter=0)
     assert solve_diagonal(MatrixPair([[-2.0]], [[1.0]]), opts).status == Verdict.FEASIBLE  # certified at w = 1
 
 
@@ -368,7 +364,7 @@ def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "det", counting_det)
     n = SIGN_ENUM_MAX_N
-    witness, tried = _deterministic_refutation(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
+    witness, tried = refute(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
     assert witness is None and tried == 2 + (5**n - 1) // 2
     # one stack per subset size k >= 3, which holds all its subsets and sign patterns
     assert [shape[-1] for shape in calls] == list(range(3, n + 1))
@@ -376,16 +372,16 @@ def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
 
 
 # feasible with margin about 1e-9, below the default tol: the search cannot
-# certify it and no witness exists, so every solve ends in the sampler
+# certify it and no witness exists, so every solve ends Unknown
 BOUNDARY = MatrixPair([[-1.0]], [[1.0 - 1e-9]])
-FAST = SolveOptions(max_iter=200, samples=8)
+FAST = SolveOptions(max_iter=200)
 
 
 def test_unknown_counts_the_screen_once():
     verdict = solve_diagonal(BOUNDARY, FAST)
     assert verdict.status == Verdict.UNKNOWN
-    _, screened = _deterministic_refutation(BOUNDARY)
-    assert verdict.samples_tried == screened + FAST.samples
+    _, screened = refute(BOUNDARY)
+    assert verdict.samples_tried == screened
 
 
 def test_screen_runs_once_per_solve(monkeypatch):
@@ -400,7 +396,7 @@ def test_screen_runs_once_per_solve(monkeypatch):
     pairs = [BOUNDARY, MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))]
     for pair in pairs:
         solve_diagonal(pair, FAST)
-    assert builds == [pair.n for pair in pairs]  # one table each, the sampler's phase included
+    assert builds == [pair.n for pair in pairs]  # one table each
 
 
 def _screen_exit(witness, tried: int) -> str:
@@ -429,7 +425,7 @@ def test_screen_matches_the_walk_and_enumeration_reference(n):
     rng = np.random.default_rng(500 + n)
     exits = set()
     for pair in _screen_pairs(rng, n):
-        witness, tried = _deterministic_refutation(pair)
+        witness, tried = refute(pair)
         expected, tried_ref = reference_screen(pair)
         assert tried == tried_ref
         assert (witness is None) == (expected is None)
@@ -451,8 +447,8 @@ def test_screen_and_verdict_do_not_change_with_the_scale_of_the_pair(n, c):
     pairs = list(_screen_pairs(rng, n))
     for pair in pairs[:4] + pairs[4::4]:  # the constructed exits and a quarter of the random pairs
         scaled = MatrixPair(c * pair.a, c * pair.b)
-        witness, tried = _deterministic_refutation(pair)
-        witness_c, tried_c = _deterministic_refutation(scaled)
+        witness, tried = refute(pair)
+        witness_c, tried_c = refute(scaled)
         assert tried_c == tried
         assert (witness_c is None) == (witness is None)
         if witness is not None:
@@ -499,7 +495,7 @@ def test_screen_above_the_minor_walk_cap_is_scale_invariant(c):
     # to 0.0 at c = 1e-14 (n = 24) and c = 1e-9 (n = 40)
     for n in (24, 40):
         pair = MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n))
-        assert _deterministic_refutation(pair)[0] is None
+        assert refute(pair)[0] is None
         assert solve_diagonal(pair).status == Verdict.FEASIBLE
 
 
@@ -569,11 +565,11 @@ def _counting_calls(monkeypatch, module, names):
 
 def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
     calls = _counting_calls(monkeypatch, riccati, ("make_witness", "sym_spectrum"))
-    witness, tried = _deterministic_refutation(INVARIANCE_BASES[1])  # feasible, n = 3
+    witness, tried = refute(INVARIANCE_BASES[1])  # feasible, n = 3
     assert witness is None
     assert tried == 2 + (5**3 - 1) // 2
     assert calls == []
-    witness, tried = _deterministic_refutation(MatrixPair([[-1.0]], [[2.0]]))
+    witness, tried = refute(MatrixPair([[-1.0]], [[2.0]]))
     assert witness is not None and tried == 1
     assert calls == ["make_witness", "sym_spectrum"]  # every check, on the hit alone
 
@@ -604,7 +600,7 @@ def test_scaled_pair_gets_the_base_verdict_and_certificate(base, c):
 def test_screen_finds_no_witness_at_small_scale(c):
     # the all-ones extreme's image is 1.9c * I; det of its minors rounds to 0.0
     n = MAX_P_SIZE
-    assert _deterministic_refutation(MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n)))[0] is None
+    assert refute(MatrixPair(-2.0 * c * np.eye(n), 0.1 * c * np.eye(n)))[0] is None
 
 
 def test_solve_feasible_at_small_scale():
@@ -627,7 +623,7 @@ REFUSED_HIT_PAIR = MatrixPair(
 @pytest.mark.parametrize("c", [1.0, 1e150])
 def test_screen_moves_past_a_hit_make_witness_refuses(c):
     pair = MatrixPair(c * REFUSED_HIT_PAIR.a, c * REFUSED_HIT_PAIR.b)
-    expected, _ = _deterministic_refutation(REFUSED_HIT_PAIR)
+    expected, _ = refute(REFUSED_HIT_PAIR)
     verdict = solve_diagonal(pair)
     assert verdict.status == Verdict.REFUTED
     assert verdict.samples_tried == 2 + 190
@@ -643,7 +639,7 @@ def test_screen_whose_hits_are_all_refused_covers_the_enumeration(monkeypatch):
 
     monkeypatch.setattr(riccati, "make_witness", refuse)
     n = 4
-    witness, tried = _deterministic_refutation(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # every entry of size 1 fails
+    witness, tried = refute(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # every entry of size 1 fails
     assert witness is None
     assert tried == 2 + (5**n - 1) // 2
     # the + extreme, then each distinct e of the table's failing entries once:
@@ -656,7 +652,7 @@ def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
     def screen(pair):
         raise AssertionError("the screen ran on a pair that unit weights certify")
 
-    monkeypatch.setattr(riccati, "_deterministic_refutation", screen)
+    monkeypatch.setattr(riccati, "refute", screen)
     monkeypatch.setattr(riccati, "minimize", screen)
     s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
     verdict = solve_diagonal(pair)
