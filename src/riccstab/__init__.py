@@ -40,7 +40,6 @@ from .errors import (
 )
 from .matcore import (
     BlockSymmetric,
-    is_hurwitz,
     is_metzler,
     is_nonnegative,
     sym_spectrum,
@@ -102,7 +101,6 @@ __all__ = [
     "export_csv",
     "fan_in_feedback_condition",
     "hadamard_congruence",
-    "is_hurwitz",
     "is_metzler",
     "is_nonnegative",
     "is_p_matrix",

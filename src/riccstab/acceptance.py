@@ -22,13 +22,14 @@ from .classes import (
     correlation_form_bound,
     correlation_form_bound_oracle,
     fan_in_feedback_condition,
+    metzler_nonneg_condition,
     structured_condition,
 )
 from .ddesim import decay_check, simulate
 from .errors import ContractError
-from .matcore import BlockSymmetric, spectral_abscissa, sym_spectrum
-from .pmatrix import dpd_conjugate, is_p_matrix, nonpositive_minor
-from .riccati import MatrixPair, Verdict, solve_diagonal
+from .matcore import BlockSymmetric
+from .pmatrix import dpd_conjugate, is_p_matrix
+from .riccati import MatrixPair, Verdict, make_witness, solve_diagonal
 from .transforms import ScalingPair, dad_transform, hadamard_congruence
 
 MARGIN_FILTER = 0.05
@@ -49,9 +50,9 @@ class WitnessLog:
     """Cross-suite record of verdicts and witness validity.
 
     Tracks, per distinct pair, which definitive statuses were ever reported,
-    and re-validates every refutation witness: positive semidefinite within
-    1e-10, unit diagonal, and a strictly failing principal minor of the
-    image matrix.
+    and re-validates every refutation witness through riccati.make_witness
+    (unit diagonal, positive semidefinite within WITNESS_PSD_TOL, and a
+    strictly failing principal minor of the image matrix).
     """
 
     statuses: dict = field(default_factory=dict)
@@ -64,17 +65,8 @@ class WitnessLog:
             self.statuses.setdefault(key, set()).add(verdict.status)
         if verdict.witness is not None:
             self.witnesses_checked += 1
-            if not self._witness_valid(pair, verdict):
+            if make_witness(pair, verdict.witness.s.full) is None:
                 self.invalid_witnesses += 1
-
-    @staticmethod
-    def _witness_valid(pair: MatrixPair, verdict: Verdict) -> bool:
-        s = verdict.witness.s
-        if np.abs(np.diag(s.full) - 1.0).max() > 1e-12:
-            return False
-        if float(sym_spectrum(s.full).min()) < -1e-10:
-            return False
-        return nonpositive_minor(-(pair.a * s.b11 + pair.b * s.b12)) is not None
 
     def conflicts(self) -> int:
         return sum(1 for v in self.statuses.values() if len(v) > 1)
@@ -109,41 +101,50 @@ def _strong_feasible_pair(rng, n: int, disguise: bool = True) -> MatrixPair:
     return _signature_conjugate(rng, pair) if disguise else pair
 
 
-def _solver_matches(expected_stable: bool, verdict: Verdict) -> bool:
-    if expected_stable:
-        return verdict.status == Verdict.FEASIBLE
-    return verdict.status == Verdict.REFUTED
+def _oracle_counts(rng, log: WitnessLog, cases: int, generator, condition) -> dict:
+    """Cross-check the solver against a closed-form class verdict.
+
+    Draws pairs until `cases` of them clear MARGIN_FILTER on every condition
+    value, solves each, records it in the log, and counts the oracle's
+    Stable verdicts, the solver's statuses and the mismatches (Stable
+    solved other than Feasible, unstable other than Refuted).
+    """
+    counts = {"cases": cases, "stable": 0, "feasible": 0, "refuted": 0, "mismatches": 0}
+    kept = 0
+    while kept < cases:
+        pair = generator(rng)
+        verdict = condition(pair)
+        if np.abs(np.array(list(verdict.condition_values.values()))).min() < MARGIN_FILTER:
+            continue
+        kept += 1
+        stable = verdict.stable is Stability.STABLE
+        solved = solve_diagonal(pair)
+        log.record(pair, solved)
+        counts["stable"] += stable
+        counts["feasible"] += solved.status == Verdict.FEASIBLE
+        counts["refuted"] += solved.status == Verdict.REFUTED
+        counts["mismatches"] += solved.status != (Verdict.FEASIBLE if stable else Verdict.REFUTED)
+    return counts
+
+
+def _class_oracles(rng, log: WitnessLog, cases: int, classes) -> dict:
+    """_oracle_counts per (name, generator, condition), in order, on one stream."""
+    results = {}
+    for name, generator, condition in classes:
+        counts = _oracle_counts(rng, log, cases, generator, condition)
+        results[name] = {key: counts[key] for key in ("cases", "stable", "mismatches")}
+    results["passed"] = all(entry["mismatches"] == 0 for entry in results.values())
+    return results
 
 
 def positive_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     """Metzler/nonnegative pairs: solver verdict against the Hurwitz test on
-    A + B, boundary instances discarded."""
-    rng = np.random.default_rng([seed, 1])
-    kept = 0
-    feasible = 0
-    refuted = 0
-    mismatches = 0
-    while kept < cases:
-        pair = _metzler_pair(rng, int(rng.integers(2, 6)))
-        mu = spectral_abscissa(pair.a + pair.b)
-        if abs(mu) < MARGIN_FILTER:
-            continue
-        kept += 1
-        verdict = solve_diagonal(pair)
-        log.record(pair, verdict)
-        if verdict.status == Verdict.FEASIBLE:
-            feasible += 1
-        elif verdict.status == Verdict.REFUTED:
-            refuted += 1
-        if not _solver_matches(mu < 0.0, verdict):
-            mismatches += 1
-    return {
-        "cases": kept,
-        "feasible": feasible,
-        "refuted": refuted,
-        "mismatches": mismatches,
-        "passed": mismatches == 0,
-    }
+    A + B (metzler_nonneg_condition), boundary instances discarded."""
+    metzler = lambda rng: _metzler_pair(rng, int(rng.integers(2, 6)))
+    entry = _oracle_counts(np.random.default_rng([seed, 1]), log, cases, metzler, metzler_nonneg_condition)
+    del entry["stable"]
+    entry["passed"] = entry["mismatches"] == 0
+    return entry
 
 
 def _chain_instance(rng) -> MatrixPair:
@@ -171,34 +172,11 @@ def _fan_in_instance(rng) -> MatrixPair:
 def three_by_three_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     """Both 3x3 feedback classes: closed-form verdict against the solver,
     instances within the margin band of any condition discarded."""
-    rng = np.random.default_rng([seed, 2])
-    results = {}
-    total_mismatches = 0
-    for name, generator, condition in (
+    classes = (
         ("chain", _chain_instance, chain_feedback_condition),
         ("fan_in", _fan_in_instance, fan_in_feedback_condition),
-    ):
-        kept = 0
-        stable_count = 0
-        mismatches = 0
-        while kept < cases:
-            pair = generator(rng)
-            verdict = condition(pair)
-            margins = np.array(list(verdict.condition_values.values()))
-            if np.abs(margins).min() < MARGIN_FILTER:
-                continue
-            kept += 1
-            expected_stable = verdict.stable is Stability.STABLE
-            if expected_stable:
-                stable_count += 1
-            solved = solve_diagonal(pair)
-            log.record(pair, solved)
-            if not _solver_matches(expected_stable, solved):
-                mismatches += 1
-        total_mismatches += mismatches
-        results[name] = {"cases": kept, "stable": stable_count, "mismatches": mismatches}
-    results["passed"] = total_mismatches == 0
-    return results
+    )
+    return _class_oracles(np.random.default_rng([seed, 2]), log, cases, classes)
 
 
 def _rank_one_row_instance(rng) -> MatrixPair:
@@ -287,36 +265,13 @@ def _superdiag_instance(rng) -> MatrixPair:
 def signature_classes(seed: int, log: WitnessLog, cases: int = 100) -> dict:
     """Signature-reducible classes: closed-form Hurwitz reduction against the
     solver, per class, with the boundary margin filter on the reduced matrix."""
-    rng = np.random.default_rng([seed, 3])
-    generators = {
-        "rank_one_row": _rank_one_row_instance,
-        "tridiagonal": _tridiag_instance,
-        "last_row": _last_row_instance,
-        "superdiagonal": _superdiag_instance,
-    }
-    results = {}
-    total_mismatches = 0
-    for name, generator in generators.items():
-        kept = 0
-        stable_count = 0
-        mismatches = 0
-        while kept < cases:
-            pair = generator(rng)
-            verdict = structured_condition(pair)
-            if abs(verdict.condition_values["spectral_abscissa"]) < MARGIN_FILTER:
-                continue
-            kept += 1
-            expected_stable = verdict.stable is Stability.STABLE
-            if expected_stable:
-                stable_count += 1
-            solved = solve_diagonal(pair)
-            log.record(pair, solved)
-            if not _solver_matches(expected_stable, solved):
-                mismatches += 1
-        total_mismatches += mismatches
-        results[name] = {"cases": kept, "stable": stable_count, "mismatches": mismatches}
-    results["passed"] = total_mismatches == 0
-    return results
+    classes = (
+        ("rank_one_row", _rank_one_row_instance, structured_condition),
+        ("tridiagonal", _tridiag_instance, structured_condition),
+        ("last_row", _last_row_instance, structured_condition),
+        ("superdiagonal", _superdiag_instance, structured_condition),
+    )
+    return _class_oracles(np.random.default_rng([seed, 3]), log, cases, classes)
 
 
 def certificate_map(seed: int, cases: int = 100) -> dict:

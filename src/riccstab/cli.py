@@ -16,11 +16,9 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import acceptance
 from .classes import UNSTRUCTURED, Stability, classify, evaluate_class
-from .ddesim import decay_report, export_csv, lk_functional, simulate
+from .ddesim import _decay_run, export_csv
 from .errors import RiccstabError
 from .riccati import MatrixPair, SolveOptions, Verdict, refute, solve_diagonal
 from .transforms import ScalingPair, dad_transform
@@ -222,36 +220,24 @@ def _cmd_simulate(data: dict, args) -> int:
     csv_paths = _csv_paths(args.out, taus) if args.out is not None and args.format == "json" else None
     verdict = solve_diagonal(pair, _solve_options(data, args))
     cert = verdict.certificate if verdict.status == Verdict.FEASIBLE else None
-    phi = np.ones(pair.n)
-
-    reports = []
-    trajectories = []
-    for tau in taus:
-        run_horizon = max(horizon, tau)
-        trajectory = simulate(pair, tau, phi, run_horizon, step)
-        lk = lk_functional(trajectory, cert) if cert is not None and not trajectory.diverged else None
-        trajectories.append((trajectory, lk))
-        reports.append(decay_report(trajectory, lk))
+    runs = [_decay_run(pair, cert, tau, horizon, step) for tau in taus]
 
     if args.format == "csv":
         if len(taus) != 1:
             raise RiccstabError("csv format requires exactly one delay")
-        trajectory, lk = trajectories[0]
-        if args.out is None:
-            export_csv(trajectory, sys.stdout, lk=lk)
-        else:
-            export_csv(trajectory, args.out, lk=lk)
+        trajectory, lk, _ = runs[0]
+        export_csv(trajectory, sys.stdout if args.out is None else args.out, lk=lk)
     else:
         if csv_paths is not None:
-            for path, (trajectory, lk) in zip(csv_paths, trajectories):
+            for path, (trajectory, lk, _) in zip(csv_paths, runs):
                 export_csv(trajectory, path, lk=lk)
         payload = {
             "certificate_status": verdict.status,
-            "reports": [report.to_json() for report in reports],
+            "reports": [report.to_json() for _, _, report in runs],
         }
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
-    return EXIT_OK if all(report.decayed for report in reports) else EXIT_UNDECIDED
+    return EXIT_OK if all(report.decayed for _, _, report in runs) else EXIT_UNDECIDED
 
 
 def _cmd_selftest(args) -> int:

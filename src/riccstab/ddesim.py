@@ -343,11 +343,12 @@ def decay_check(
     """Simulate across delays and check decay of the state and, when a
     certificate is given, of the functional it defines.
 
-    horizon is one end time for every delay or a sequence of one per delay;
-    each run ends at the larger of its horizon and its delay. Without a
-    certificate only the norm criterion applies. The initial function is
-    the all-ones vector. Failures are reported, never raised; an invalid
-    certificate is rejected up front, once for all the delays.
+    horizon is one end time for every delay or a sequence of one per delay.
+    Each delay is one _decay_run, the run `riccstab simulate` makes too:
+    from the all-ones initial function to the larger of its horizon and its
+    delay, by the norm criterion alone without a certificate. Failures are
+    reported, never raised; an invalid certificate is rejected up front,
+    once for all the delays.
     """
     taus = [float(tau) for tau in tau_list]
     horizons = [float(t) for t in horizon] if np.ndim(horizon) else [float(horizon)] * len(taus)
@@ -357,14 +358,19 @@ def decay_check(
         ok, _ = verify_certificate(pair, cert.p, cert.q, 0.0)
         if not ok:
             raise ContractError("certificate does not verify for this pair")
-    phi = np.ones(pair.n)
-    reports = []
-    for tau, run_horizon in zip(taus, horizons):
-        run_horizon = max(run_horizon, tau)
-        traj = simulate(pair, tau, phi, run_horizon, h)
-        lk = lk_functional(traj, cert) if cert is not None and not traj.diverged else None
-        reports.append(decay_report(traj, lk))
-    return reports
+    return [_decay_run(pair, cert, tau, run_horizon, h)[2] for tau, run_horizon in zip(taus, horizons)]
+
+
+def _decay_run(
+    pair: MatrixPair, cert: RiccatiCertificate | None, tau: float, horizon: float, h: float
+) -> tuple[DelayTrajectory, np.ndarray | None, DecayReport]:
+    """One delay's run from the all-ones initial function to the larger of
+    horizon and tau: the trajectory, its functional values (None without a
+    certificate or after divergence, when only the norm criterion applies)
+    and its report. cert is used as given, not verified."""
+    traj = simulate(pair, tau, np.ones(pair.n), max(horizon, tau), h)
+    lk = lk_functional(traj, cert) if cert is not None and not traj.diverged else None
+    return traj, lk, decay_report(traj, lk)
 
 
 def export_csv(trajectory: DelayTrajectory, path, lk: np.ndarray | None = None) -> None:

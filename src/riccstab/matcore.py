@@ -212,14 +212,3 @@ def hurwitz_band(mu: float, a, margin: float = HURWITZ_MARGIN) -> HurwitzResult:
     if abs(mu) <= margin * float(np.abs(a).max()):
         return HurwitzResult.MARGINAL
     return HurwitzResult.HURWITZ if mu < 0.0 else HurwitzResult.NOT_HURWITZ
-
-
-def is_hurwitz(a, margin: float = HURWITZ_MARGIN) -> HurwitzResult:
-    """Tri-state Hurwitz test: Hurwitz, NotHurwitz, or Marginal.
-
-    Marginal means the spectral abscissa lies within the relative margin
-    band of zero, so the spectrum is too close to the imaginary axis to call
-    either way.
-    """
-    m = as_square(a)
-    return hurwitz_band(spectral_abscissa(m), m, margin)

@@ -24,7 +24,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import ContractError, NumericError
-from .lmi import minimize
+from .lmi import _block, minimize
 from .matcore import (
     BlockSymmetric,
     _proves_negative_definite,
@@ -201,7 +201,7 @@ def block_lmi(pair: MatrixPair, p, q) -> BlockSymmetric:
     """Schur block form [[A'P + PA + Q, PB], [B'P, -Q]] for diagonal P, Q."""
     pv = as_positive_vector(p, pair.n)
     qv = as_positive_vector(q, pair.n)
-    return BlockSymmetric(_block_full(pair.a, pair.b, pv, qv), pair.n)
+    return BlockSymmetric(_block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv])), pair.n)
 
 
 def riccati_form(pair: MatrixPair, p, q) -> np.ndarray:
@@ -219,14 +219,20 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
     by their LAPACK eigenvalues and the block form by proves_negative_definite,
     a Cholesky proof that does not trust those eigenvalues. Raises
     NumericError if the two forms disagree in sign beyond rounding, which
-    would mean the Schur complement identity failed numerically.
+    would mean the Schur complement identity failed numerically, and
+    ContractError if either form has an entry beyond the float range.
     """
     if margin_req < 0.0:
         raise ContractError("margin_req must be >= 0")
     pv = as_positive_vector(p, pair.n)
     qv = as_positive_vector(q, pair.n)
-    lam_r = sym_spectrum(_riccati_full(pair.a, pair.b, pv, qv)).abscissa
-    block = _require_symmetric(_block_full(pair.a, pair.b, pv, qv))  # once, for both tests below
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = _riccati_full(pair.a, pair.b, pv, qv)
+        block = _block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv]))
+    if not (np.isfinite(form).all() and np.isfinite(block).all()):
+        raise ContractError(f"the Riccati form at these weights exceeds the float range ({sys.float_info.max:.4g})")
+    lam_r = sym_spectrum(form).abscissa
+    block = _require_symmetric(block)  # once, for both tests below
     lam_b = float(np.linalg.eigvalsh(block)[-1])
     if lam_r * lam_b < 0.0 and min(abs(lam_r), abs(lam_b)) > SCHUR_SIGN_TOL:
         raise NumericError(
@@ -242,8 +248,7 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
     Qualification: symmetric, PSD within WITNESS_PSD_TOL (smallest LAPACK
     eigenvalue), both diagonal blocks exactly unit within 1e-12, and the
     image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
-    no marginal-band refutations; pmatrix.nonpositive_minor, which above
-    n = MAX_P_SIZE tests only the diagonal entries and the full determinant).
+    no marginal-band refutations; see _image_minor).
     """
     s = as_square(s_full)
     if s.shape[0] != 2 * pair.n:
@@ -256,28 +261,25 @@ def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
         return None
     if sym_spectrum(s).min() < -WITNESS_PSD_TOL:
         return None
-    report = nonpositive_minor(-(pair.a * blk.b11 + pair.b * blk.b12))
+    report = _image_minor(pair, blk.b11, blk.b12)
     if report is None:
         return None
     return CorrelationWitness(s=blk, p_report=report)
 
 
+def _image_minor(pair: MatrixPair, s11, s12) -> PMatrixReport | None:
+    """pmatrix.nonpositive_minor of the image -(A o S11 + B o S12), which
+    above n = MAX_P_SIZE tests only the diagonal entries and the full
+    determinant. None also when an entry of the image is beyond the float
+    range: such a candidate does not qualify."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = -(pair.a * s11 + pair.b * s12)
+    return nonpositive_minor(image) if np.isfinite(image).all() else None
+
+
 def _riccati_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     pb = p[:, None] * b
     return a.T * p[None, :] + p[:, None] * a + np.diag(q) + (pb / q[None, :]) @ pb.T
-
-
-def _block_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    top_left = a.T * p[None, :] + p[:, None] * a
-    top_left[np.diag_indices(n)] += q
-    top_right = p[:, None] * b
-    full = np.empty((2 * n, 2 * n))
-    full[:n, :n] = top_left
-    full[:n, n:] = top_right
-    full[n:, :n] = top_right.T
-    full[n:, n:] = -np.diag(q)
-    return full
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,7 +398,7 @@ def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
         if small:
             hit = nonpositive[_sign_plan(n).extremes[tried - 1]].any()
         else:
-            hit = nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None
+            hit = _image_minor(pair, 1.0, s12_sign) is not None
         if hit:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
             witness = make_witness(pair, np.outer(s_vec, s_vec))
@@ -433,15 +435,17 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     samples_tried = 0. When the solver does not certify either, the verdict
     is Unknown with the best margin found, in the pair's units, and the
     screen's samples_tried. A = B = 0 (s = 0) goes straight to the screen,
-    which refutes it.
+    which refutes it. So does a pair whose s is beyond the float range; it
+    raises ContractError when the screen finds no witness.
     """
     opts = options or SolveOptions()
-    s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
+    with np.errstate(over="ignore"):
+        s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
     # lambda_max of the scaled block at unit weights is at least its largest
     # diagonal entry, 2 max a_ii / s + 1: most pairs fail that test already
     if s > 0.0 and 2.0 * (float(pair.a.diagonal().max()) / s) + 1.0 <= opts.stop_value():
         ones = np.ones(pair.n)
-        if float(np.linalg.eigvalsh(_block_full(pair.a / s, pair.b / s, ones, ones))[-1]) <= opts.stop_value():
+        if float(np.linalg.eigvalsh(_block(np.hstack([pair.a, pair.b]) / s, np.ones(2 * pair.n)))[-1]) <= opts.stop_value():
             cert = _certificate(pair, ones, s * ones, opts.tol * s)
             if cert is not None:
                 return Verdict.feasible(cert)
@@ -449,6 +453,8 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     witness, screened = refute(pair)
     if witness is not None:
         return Verdict.refuted(witness, samples_tried=screened)
+    if not math.isfinite(s):
+        raise ContractError(f"max|A| + max|B| exceeds the float range ({sys.float_info.max:.4g})")
 
     found = minimize(pair.a / s, pair.b / s, stop=opts.stop_value(), tol=opts.tol, max_iter=opts.max_iter)  # s > 0 here
     if found.lam <= -opts.tol:

@@ -6,9 +6,12 @@ frozen report so the pass/fail line in the pytest output names the
 criterion it covers.
 """
 
+import numpy as np
 import pytest
 
 from riccstab import acceptance, ddesim
+from riccstab.matcore import BlockSymmetric
+from riccstab.riccati import CorrelationWitness, MatrixPair, Verdict, solve_diagonal
 
 
 @pytest.fixture(scope="session")
@@ -27,6 +30,7 @@ def test_criterion_01_positive_oracle(battery):
     assert entry["cases"] == 200
     assert entry["mismatches"] == 0
     assert entry["feasible"] > 0 and entry["refuted"] > 0
+    assert (entry["feasible"], entry["refuted"]) == (109, 91)
     assert battery.timings["first_run"]["positive_oracle"] < 120.0
 
 
@@ -36,6 +40,7 @@ def test_criterion_02_three_by_three_oracle(battery):
     assert entry["fan_in"]["cases"] == 200
     assert entry["chain"]["mismatches"] == 0
     assert entry["fan_in"]["mismatches"] == 0
+    assert (entry["chain"]["stable"], entry["fan_in"]["stable"]) == (54, 29)
 
 
 def test_criterion_03_signature_classes(battery):
@@ -43,6 +48,8 @@ def test_criterion_03_signature_classes(battery):
     for name in ("rank_one_row", "tridiagonal", "last_row", "superdiagonal"):
         assert entry[name]["cases"] == 100
         assert entry[name]["mismatches"] == 0
+    stable = {name: entry[name]["stable"] for name in ("rank_one_row", "tridiagonal", "last_row", "superdiagonal")}
+    assert stable == {"rank_one_row": 55, "tridiagonal": 41, "last_row": 78, "superdiagonal": 74}
 
 
 def test_criterion_04_certificate_map(battery):
@@ -60,7 +67,7 @@ def test_criterion_05_hadamard_damping(battery):
 
 def test_criterion_06_witness_soundness(battery):
     entry = criterion(battery, "witness_soundness")
-    assert entry["witnesses_checked"] > 0
+    assert entry["witnesses_checked"] == 560
     assert entry["invalid_witnesses"] == 0
     assert entry["status_conflicts"] == 0
 
@@ -116,3 +123,19 @@ def test_delay_decay_verifies_each_certificate_once(monkeypatch):
     entry = acceptance.delay_decay(0, cases=4)
     assert entry["solved_feasible"] > 0
     assert len(verified) == entry["solved_feasible"]
+
+
+def test_witness_log_counts_tampered_witnesses_as_invalid():
+    pair = MatrixPair([[-1.0]], [[2.0]])
+    verdict = solve_diagonal(pair)
+    assert verdict.status == Verdict.REFUTED
+    report = verdict.witness.p_report
+    log = acceptance.WitnessLog()
+    log.record(pair, verdict)
+    assert (log.witnesses_checked, log.invalid_witnesses) == (1, 0)
+    # S12 = 0: PSD with unit diagonal, but the image -A = 1 is a P-matrix
+    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(np.eye(2), 1), report)))
+    assert (log.witnesses_checked, log.invalid_witnesses) == (2, 1)
+    # S12 = 2: the image -(A + 2B) = -3 fails, but S has the eigenvalue -1
+    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric([[1.0, 2.0], [2.0, 1.0]], 1), report)))
+    assert (log.witnesses_checked, log.invalid_witnesses) == (3, 2)

@@ -12,7 +12,8 @@ import pytest
 from riccstab import acceptance
 from riccstab.acceptance import SelftestResult
 from riccstab.cli import main
-from riccstab.riccati import MatrixPair, refute
+from riccstab.ddesim import decay_check
+from riccstab.riccati import MatrixPair, refute, solve_diagonal
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
 REFUTED = {"A": [[-1.0]], "B": [[2.0]]}
@@ -139,6 +140,9 @@ def test_simulate_reports_and_csv(tmp_path, capsys):
     assert payload["certificate_status"] == "Feasible"
     assert [r["tau"] for r in payload["reports"]] == [0.0, 1.0]
     assert all(r["decayed"] for r in payload["reports"])
+    pair = MatrixPair(FEASIBLE["A"], FEASIBLE["B"])
+    expected = decay_check(pair, solve_diagonal(pair).certificate, [0.0, 1.0], 40.0, 0.02)
+    assert payload["reports"] == [report.to_json() for report in expected]
     for tau_name in ("traj_tau0.csv", "traj_tau1.csv"):
         text = (tmp_path / tau_name).read_text()
         assert text.startswith("t,x_1,V\n")
@@ -316,6 +320,33 @@ def test_overflowing_failing_minor_is_strict_json(tmp_path, capsys):
     assert report["status"] == "Refuted"
     assert report["failing_subset"] == [0, 1]
     assert report["failing_minor"] == -sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        # the pair's scale max|A| + max|B| is beyond the float range
+        {"A": [[-1.5e308]], "B": [[7.5e307]]},
+        # the scale is finite, but the Riccati form at unit weights is not
+        {"A": [[-1e308]], "B": [[1e307]]},
+    ],
+)
+def test_check_beyond_the_float_range_exits_one_naming_it(tmp_path, capsys, pair):
+    code, out, err = run_main(capsys, ["check", write(tmp_path, pair)])
+    assert code == 1
+    assert out == ""
+    assert "float range" in err
+
+
+def test_check_skips_an_extreme_whose_image_overflows(tmp_path, capsys):
+    # -(A + B) is -inf, but the S12 = -1 extreme's image -(A - B) is 0
+    code, out, err = run_main(capsys, ["check", write(tmp_path, {"A": [[1e308]], "B": [[1e308]]})])
+    assert code == 0
+    assert err == ""
+    report = _strict_json(out)
+    assert report["status"] == "Refuted"
+    assert report["samples_tried"] == 2
+    assert report["failing_minor"] == 0.0
 
 
 def test_selftest_writes_timings_to_stderr(tmp_path, capsys, monkeypatch):

@@ -10,11 +10,12 @@ import pytest
 from riccstab.errors import ContractError, NumericError
 from riccstab.matcore import (
     HurwitzResult,
-    is_hurwitz,
+    hurwitz_band,
     is_metzler,
     is_nonnegative,
     proves_negative_definite,
     sign_envelopes,
+    spectral_abscissa,
     sym_spectrum,
 )
 from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal
@@ -241,15 +242,20 @@ def test_proof_rejects_semidefinite_and_indefinite():
         proves_negative_definite([[-1.0, 10.0], [0.0, -1.0]])
 
 
+def hurwitz_verdict(a):
+    """The Hurwitz test as the class verdicts run it."""
+    return hurwitz_band(spectral_abscissa(a), a)
+
+
 def test_is_hurwitz_examples():
-    assert is_hurwitz(-np.eye(4)) is HurwitzResult.HURWITZ
-    assert is_hurwitz([[0.0, 1.0], [-1.0, -1.0]]) is HurwitzResult.HURWITZ
-    assert is_hurwitz([[1.0]]) is HurwitzResult.NOT_HURWITZ
-    assert is_hurwitz([[0.0, 1.0], [-1.0, 0.0]]) is HurwitzResult.MARGINAL
+    assert hurwitz_verdict(-np.eye(4)) is HurwitzResult.HURWITZ
+    assert hurwitz_verdict([[0.0, 1.0], [-1.0, -1.0]]) is HurwitzResult.HURWITZ
+    assert hurwitz_verdict([[1.0]]) is HurwitzResult.NOT_HURWITZ
+    assert hurwitz_verdict([[0.0, 1.0], [-1.0, 0.0]]) is HurwitzResult.MARGINAL
 
 
 def test_is_hurwitz_nonnormal_case():
-    assert is_hurwitz([[-1.0, 10.0], [0.0, -1.0]]) is HurwitzResult.HURWITZ
+    assert hurwitz_verdict([[-1.0, 10.0], [0.0, -1.0]]) is HurwitzResult.HURWITZ
 
 
 def test_is_hurwitz_against_eigenvalue_oracle():
@@ -264,4 +270,4 @@ def test_is_hurwitz_against_eigenvalue_oracle():
         checked += 1
         expected = HurwitzResult.HURWITZ if mu < 0.0 else HurwitzResult.NOT_HURWITZ
         for scale in (1.0, 1e-6, 1e6):
-            assert is_hurwitz(scale * a) is expected
+            assert hurwitz_verdict(scale * a) is expected

@@ -1,4 +1,8 @@
-"""The package's public surface: every name in __all__ resolves, once."""
+"""The package's public surface: every name in __all__ resolves, once; and
+no module of the package imports a name it does not use."""
+
+import ast
+from pathlib import Path
 
 import riccstab
 
@@ -8,3 +12,27 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from riccstab import *", namespace)  # raises on a name the package lacks
     assert set(riccstab.__all__) <= set(namespace)
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    """An import is used when its bound name is read anywhere in the module.
+    __init__.py, which imports to re-export, and lines marked noqa are
+    skipped."""
+    unused = []
+    for path in sorted(Path(riccstab.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    if "noqa" not in lines[alias.lineno - 1]:
+                        imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    assert unused == []
