@@ -34,7 +34,6 @@ from .errors import (
     ClassMismatchError,
     ContractError,
     DimensionError,
-    NumericError,
     RiccstabError,
     SizeGuardError,
 )
@@ -42,7 +41,6 @@ from .matcore import (
     BlockSymmetric,
     is_metzler,
     is_nonnegative,
-    sym_spectrum,
 )
 from .pmatrix import PMatrixReport, dpd_conjugate, is_p_matrix, p_sign_witness
 from .riccati import (
@@ -53,7 +51,6 @@ from .riccati import (
     Verdict,
     block_lmi,
     refute,
-    riccati_form,
     solve_diagonal,
     verify_certificate,
 )
@@ -78,7 +75,6 @@ __all__ = [
     "DelayTrajectory",
     "DimensionError",
     "MatrixPair",
-    "NumericError",
     "PMatrixReport",
     "RiccatiCertificate",
     "RiccstabError",
@@ -109,10 +105,8 @@ __all__ = [
     "normalize_correlation",
     "p_sign_witness",
     "refute",
-    "riccati_form",
     "simulate",
     "solve_diagonal",
     "structured_condition",
-    "sym_spectrum",
     "verify_certificate",
 ]

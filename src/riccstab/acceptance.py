@@ -65,7 +65,7 @@ class WitnessLog:
             self.statuses.setdefault(key, set()).add(verdict.status)
         if verdict.witness is not None:
             self.witnesses_checked += 1
-            if make_witness(pair, verdict.witness.s.full) is None:
+            if make_witness(pair, verdict.witness.s) is None:
                 self.invalid_witnesses += 1
 
     def conflicts(self) -> int:

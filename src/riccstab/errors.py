@@ -13,10 +13,6 @@ class ContractError(RiccstabError):
     """A documented precondition was violated (bad values, not bad shapes)."""
 
 
-class NumericError(RiccstabError):
-    """A numerical routine failed to converge or produced inconsistent results."""
-
-
 class SizeGuardError(RiccstabError):
     """Input exceeds a combinatorial size guard."""
 

@@ -1,8 +1,8 @@
-"""Dense matrix utilities, symmetric spectra and a definiteness proof.
+"""Dense matrix utilities, symmetric block matrices and a definiteness proof.
 
-Everything downstream leans on this module: sign envelopes, LAPACK
-spectra of symmetric matrices, a rounding-safe Cholesky proof of negative
-definiteness that holds however accurate the eigenvalues are, and a
+Everything downstream leans on this module: sign envelopes, the
+BlockSymmetric type, a rounding-safe Cholesky proof of negative
+definiteness that holds however accurate an eigensolver is, and a
 tri-state Hurwitz test that bands the spectral abscissa relative to the
 size of the entries. Matrices are dense, row-major numpy arrays of
 float64. All functions are pure.
@@ -90,17 +90,6 @@ def is_nonnegative(m) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Real eigenvalues of a symmetric matrix, sorted ascending."""
-
-    eigenvalues: np.ndarray
-    abscissa: float
-
-    def min(self) -> float:
-        return float(self.eigenvalues[0])
-
-
-@dataclass(frozen=True, eq=False)
 class BlockSymmetric:
     """A symmetric 2n x 2n matrix with named n x n blocks."""
 
@@ -143,12 +132,6 @@ def _require_symmetric(m) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def sym_spectrum(m) -> Spectrum:
-    """Full real spectrum of a symmetric matrix, from LAPACK (eigvalsh)."""
-    w = np.linalg.eigvalsh(_require_symmetric(m))
-    return Spectrum(eigenvalues=w, abscissa=float(w[-1]))
-
-
 def _up(x: float) -> float:
     """Next float up: bounds the real result of the rounding that made x."""
     return math.nextafter(x, math.inf)
@@ -171,7 +154,8 @@ def proves_negative_definite(m, margin: float = 0.0) -> bool:
 
 
 def _proves_negative_definite(a: np.ndarray, margin: float) -> bool:
-    """proves_negative_definite on an array _require_symmetric has returned."""
+    """proves_negative_definite on an exactly symmetric array: one
+    _require_symmetric has returned, or a block form from riccati.block_lmi."""
     k = a.shape[0]
     u, eta = 2.0**-53, 2.0**-1074
     g_diag = -np.diag(a)

@@ -3,8 +3,9 @@
 A pair (A, B) is diagonally Riccati stable when diagonal P > 0, Q > 0 exist
 with A'P + PA + Q + PBQ^{-1}B'P negative definite. That inequality certifies
 asymptotic stability of dx/dt = A x(t) + B x(t - tau) for every constant
-delay tau >= 0. Its Schur-complement form is the symmetric block matrix
-[[A'P + PA + Q, PB], [B'P, -Q]], negative definite iff the Riccati form is.
+delay tau >= 0. By the Schur complement the inequality holds iff the
+symmetric block matrix [[A'P + PA + Q, PB], [B'P, -Q]] is negative
+definite; certificates are built and checked in that block form alone.
 
 Infeasibility is certified through unit-diagonal positive semidefinite
 matrices S: if -(A o S11 + B o S12) fails to be a P-matrix for some such S
@@ -23,16 +24,9 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .errors import ContractError, NumericError
+from .errors import ContractError
 from .lmi import _block, minimize
-from .matcore import (
-    BlockSymmetric,
-    _proves_negative_definite,
-    _require_symmetric,
-    as_positive_vector,
-    as_square,
-    sym_spectrum,
-)
+from .matcore import BlockSymmetric, _proves_negative_definite, as_positive_vector, as_square
 from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
@@ -40,7 +34,6 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
 WITNESS_PSD_TOL = 1e-10
 SIGN_ENUM_MAX_N = 6
-SCHUR_SIGN_TOL = 1e-9
 
 
 _UNITS = {1.0: 1.0, -1.0: -1.0}
@@ -198,73 +191,57 @@ class SolveOptions:
 
 
 def block_lmi(pair: MatrixPair, p, q) -> BlockSymmetric:
-    """Schur block form [[A'P + PA + Q, PB], [B'P, -Q]] for diagonal P, Q."""
-    pv = as_positive_vector(p, pair.n)
-    qv = as_positive_vector(q, pair.n)
-    return BlockSymmetric(_block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv])), pair.n)
+    """Schur block form [[A'P + PA + Q, PB], [B'P, -Q]] for diagonal P, Q.
 
-
-def riccati_form(pair: MatrixPair, p, q) -> np.ndarray:
-    """The n x n form A'P + PA + Q + P B Q^{-1} B' P for diagonal P, Q."""
-    pv = as_positive_vector(p, pair.n)
-    qv = as_positive_vector(q, pair.n)
-    return _riccati_full(pair.a, pair.b, pv, qv)
-
-
-def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple[bool, float]:
-    """Check a candidate (P, Q) through both equivalent forms.
-
-    Returns (ok, achieved margin); the margin is minus the top eigenvalue of
-    the block form. ok requires both forms to sit strictly below -margin_req
-    by their LAPACK eigenvalues and the block form by proves_negative_definite,
-    a Cholesky proof that does not trust those eigenvalues. Raises
-    NumericError if the two forms disagree in sign beyond rounding, which
-    would mean the Schur complement identity failed numerically, and
-    ContractError if either form has an entry beyond the float range.
+    Built by lmi._block, the barrier's builder, so it is exactly symmetric.
+    Raises ContractError naming the float range when an entry overflows it,
+    which finite A, B, p and q can make happen.
     """
-    if margin_req < 0.0:
-        raise ContractError("margin_req must be >= 0")
     pv = as_positive_vector(p, pair.n)
     qv = as_positive_vector(q, pair.n)
     with np.errstate(over="ignore", invalid="ignore"):
-        form = _riccati_full(pair.a, pair.b, pv, qv)
-        block = _block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv]))
-    if not (np.isfinite(form).all() and np.isfinite(block).all()):
-        raise ContractError(f"the Riccati form at these weights exceeds the float range ({sys.float_info.max:.4g})")
-    lam_r = sym_spectrum(form).abscissa
-    block = _require_symmetric(block)  # once, for both tests below
-    lam_b = float(np.linalg.eigvalsh(block)[-1])
-    if lam_r * lam_b < 0.0 and min(abs(lam_r), abs(lam_b)) > SCHUR_SIGN_TOL:
-        raise NumericError(
-            f"Riccati and block forms disagree in sign: {lam_r:.3e} vs {lam_b:.3e}"
-        )
-    ok = lam_r < -margin_req and lam_b < -margin_req and _proves_negative_definite(block, margin_req)
-    return ok, -lam_b
+        full = _block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv]))
+    if not np.isfinite(full).all():
+        raise ContractError(f"the block form at these weights exceeds the float range ({sys.float_info.max:.4g})")
+    return BlockSymmetric(full, pair.n)
 
 
-def make_witness(pair: MatrixPair, s_full) -> CorrelationWitness | None:
+def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple[bool, float]:
+    """Check a candidate (P, Q) through the block form of block_lmi.
+
+    Returns (ok, achieved margin); the margin is minus the top LAPACK
+    eigenvalue of the block form. ok requires that eigenvalue to sit
+    strictly below -margin_req and proves_negative_definite, a Cholesky
+    proof that does not trust it, to succeed at margin_req. Raises
+    ContractError, as block_lmi does, when the block form has an entry
+    beyond the float range.
+    """
+    if margin_req < 0.0:
+        raise ContractError("margin_req must be >= 0")
+    block = block_lmi(pair, p, q).full
+    lam = float(np.linalg.eigvalsh(block)[-1])
+    return lam < -margin_req and _proves_negative_definite(block, margin_req), -lam
+
+
+def make_witness(pair: MatrixPair, s: BlockSymmetric) -> CorrelationWitness | None:
     """Validate a candidate witness matrix; None when it does not qualify.
 
-    Qualification: symmetric, PSD within WITNESS_PSD_TOL (smallest LAPACK
-    eigenvalue), both diagonal blocks exactly unit within 1e-12, and the
-    image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
-    no marginal-band refutations; see _image_minor).
+    Qualification: both diagonal blocks of S exactly unit within 1e-12, S
+    PSD within WITNESS_PSD_TOL (smallest LAPACK eigenvalue), and the image
+    -(A o S11 + B o S12) has a principal minor <= 0 (strict failure, no
+    marginal-band refutations; see _image_minor). S is symmetric by type;
+    one whose block size is not the pair's raises ContractError.
     """
-    s = as_square(s_full)
-    if s.shape[0] != 2 * pair.n:
+    if s.n != pair.n:
         raise ContractError(f"witness must be {2 * pair.n} x {2 * pair.n}")
-    s = (s + s.T) / 2.0
-    blk = BlockSymmetric(s, pair.n)
-    if np.abs(np.diag(blk.b11) - 1.0).max() > 1e-12:
+    if np.abs(np.diag(s.full) - 1.0).max() > 1e-12:
         return None
-    if np.abs(np.diag(blk.b22) - 1.0).max() > 1e-12:
+    if float(np.linalg.eigvalsh(s.full)[0]) < -WITNESS_PSD_TOL:
         return None
-    if sym_spectrum(s).min() < -WITNESS_PSD_TOL:
-        return None
-    report = _image_minor(pair, blk.b11, blk.b12)
+    report = _image_minor(pair, s.b11, s.b12)
     if report is None:
         return None
-    return CorrelationWitness(s=blk, p_report=report)
+    return CorrelationWitness(s=s, p_report=report)
 
 
 def _image_minor(pair: MatrixPair, s11, s12) -> PMatrixReport | None:
@@ -275,11 +252,6 @@ def _image_minor(pair: MatrixPair, s11, s12) -> PMatrixReport | None:
     with np.errstate(over="ignore", invalid="ignore"):
         image = -(pair.a * s11 + pair.b * s12)
     return nonpositive_minor(image) if np.isfinite(image).all() else None
-
-
-def _riccati_full(a: np.ndarray, b: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    pb = p[:, None] * b
-    return a.T * p[None, :] + p[:, None] * a + np.diag(q) + (pb / q[None, :]) @ pb.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,7 +326,8 @@ def _sign_minors(pair: MatrixPair) -> np.ndarray:
 
 def _sign_hits(nonpositive: np.ndarray, n: int):
     """The rank-one sign witnesses of the table entries <= 0, in table
-    order, each with the count of (d, e) candidates up to its entry.
+    order, each as a BlockSymmetric with the count of (d, e) candidates up
+    to its entry.
 
     The count is that of the (d, e) candidates, d_0 = +1 (the global flip is
     redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In their
@@ -371,7 +344,7 @@ def _sign_hits(nonpositive: np.ndarray, n: int):
         if key not in seen:
             seen.add(key)
             s_vec = np.concatenate([np.ones(n), e])
-            yield np.outer(s_vec, s_vec), int(plan.tried[hit])
+            yield BlockSymmetric(np.outer(s_vec, s_vec), n), int(plan.tried[hit])
 
 
 def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
@@ -401,13 +374,13 @@ def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
             hit = _image_minor(pair, 1.0, s12_sign) is not None
         if hit:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
-            witness = make_witness(pair, np.outer(s_vec, s_vec))
+            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
             if witness is not None:
                 return witness, tried
     if not small:
         return None, 2
-    for s_full, enum_tried in _sign_hits(nonpositive, n):
-        witness = make_witness(pair, s_full)
+    for s, enum_tried in _sign_hits(nonpositive, n):
+        witness = make_witness(pair, s)
         if witness is not None:
             return witness, 2 + enum_tried
     return None, 2 + (5**n - 1) // 2

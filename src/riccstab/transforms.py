@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .matcore import BlockSymmetric, as_positive_vector, as_vector, sym_spectrum
+from .matcore import BlockSymmetric, as_positive_vector, as_vector
 from .riccati import MatrixPair, RiccatiCertificate, verify_certificate
 
 PSD_INPUT_TOL = 1e-10
@@ -99,7 +99,7 @@ def _require_correlation_shape(s: BlockSymmetric) -> np.ndarray:
 
 
 def _require_psd(s: BlockSymmetric, tol: float = PSD_INPUT_TOL) -> None:
-    smallest = float(sym_spectrum(s.full).min())
+    smallest = float(np.linalg.eigvalsh(s.full)[0])
     if smallest < -tol:
         raise ContractError(f"S must be positive semidefinite, min eigenvalue {smallest:.3e}")
 

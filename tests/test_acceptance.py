@@ -125,6 +125,23 @@ def test_delay_decay_verifies_each_certificate_once(monkeypatch):
     assert len(verified) == entry["solved_feasible"]
 
 
+def test_witness_log_validates_the_witness_it_holds(monkeypatch):
+    pair = MatrixPair([[-1.0]], [[2.0]])
+    verdict = solve_diagonal(pair)
+    built = []
+    post_init = BlockSymmetric.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(BlockSymmetric, "__post_init__", counting)
+    log = acceptance.WitnessLog()
+    log.record(pair, verdict)
+    assert (log.witnesses_checked, log.invalid_witnesses) == (1, 0)
+    assert built == []
+
+
 def test_witness_log_counts_tampered_witnesses_as_invalid():
     pair = MatrixPair([[-1.0]], [[2.0]])
     verdict = solve_diagonal(pair)
@@ -139,3 +156,9 @@ def test_witness_log_counts_tampered_witnesses_as_invalid():
     # S12 = 2: the image -(A + 2B) = -3 fails, but S has the eigenvalue -1
     log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric([[1.0, 2.0], [2.0, 1.0]], 1), report)))
     assert (log.witnesses_checked, log.invalid_witnesses) == (3, 2)
+    # S11, then S22, 1e-11 off unit: PSD, and the image -(A + B) = -1 fails
+    for diagonal in ([1.0 + 1e-11, 1.0], [1.0, 1.0 + 1e-11]):
+        s = np.ones((2, 2))
+        np.fill_diagonal(s, diagonal)
+        log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(s, 1), report)))
+    assert (log.witnesses_checked, log.invalid_witnesses) == (5, 4)

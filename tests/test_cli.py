@@ -327,7 +327,7 @@ def test_overflowing_failing_minor_is_strict_json(tmp_path, capsys):
     [
         # the pair's scale max|A| + max|B| is beyond the float range
         {"A": [[-1.5e308]], "B": [[7.5e307]]},
-        # the scale is finite, but the Riccati form at unit weights is not
+        # the scale is finite, but the block form at unit weights is not
         {"A": [[-1e308]], "B": [[1e307]]},
     ],
 )

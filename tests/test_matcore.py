@@ -1,13 +1,13 @@
-"""Core matrix helpers: sign envelopes, symmetric spectra against a Jacobi
-reference, the Cholesky definiteness proof against an exact oracle, and
-the abscissa-based Hurwitz test."""
+"""Core matrix helpers: sign envelopes, the block form's reported margin
+against a Jacobi reference, the Cholesky definiteness proof against an
+exact oracle, and the abscissa-based Hurwitz test."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from riccstab.errors import ContractError, NumericError
+from riccstab.errors import ContractError
 from riccstab.matcore import (
     HurwitzResult,
     hurwitz_band,
@@ -16,17 +16,16 @@ from riccstab.matcore import (
     proves_negative_definite,
     sign_envelopes,
     spectral_abscissa,
-    sym_spectrum,
 )
-from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal
+from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal, verify_certificate
 
 JACOBI_MAX_SWEEPS = 50
 JACOBI_OFF_TOL = 1e-12
 
 
 def reference_jacobi_eigh(m):
-    """Cyclic Jacobi diagonalization of a symmetric matrix, the engine
-    sym_spectrum used before LAPACK; kept as an independent reference.
+    """Cyclic Jacobi diagonalization of a symmetric matrix, the engine the
+    package used before LAPACK; kept as an independent reference.
 
     Returns (eigenvalues ascending, eigenvectors as columns, sweeps used).
     Converges when the off-diagonal Frobenius norm drops below
@@ -77,7 +76,7 @@ def reference_jacobi_eigh(m):
                 vq = v[:, q].copy()
                 v[:, p] = c * vp - s * vq
                 v[:, q] = s * vp + c * vq
-    raise NumericError(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
+    raise RuntimeError(f"Jacobi sweep did not converge in {JACOBI_MAX_SWEEPS} sweeps")
 
 
 def exact_ldl_pivots(x):
@@ -130,28 +129,6 @@ def test_is_metzler_examples():
     assert is_nonnegative([[0.0, 1.0], [2.0, 0.0]])
 
 
-def test_sym_spectrum_diagonal():
-    spec = sym_spectrum(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(spec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)
-
-
-def test_sym_spectrum_swap():
-    spec = sym_spectrum([[0.0, 1.0], [1.0, 0.0]])
-    assert np.allclose(spec.eigenvalues, [-1.0, 1.0], atol=1e-12)
-
-
-def test_sym_spectrum_negative_definite_case():
-    spec = sym_spectrum([[-3.0, 1.0], [1.0, -1.0]])
-    root = np.sqrt(2.0)
-    assert np.allclose(spec.eigenvalues, [-2.0 - root, -2.0 + root], atol=1e-12)
-    assert spec.abscissa < 0.0
-
-
-def test_sym_spectrum_rejects_nonsymmetric():
-    with pytest.raises(ContractError):
-        sym_spectrum([[-1.0, 10.0], [0.0, -1.0]])
-
-
 def test_jacobi_eigenpairs_random():
     rng = np.random.default_rng(11)
     for n in (2, 5, 8, 12):
@@ -178,15 +155,16 @@ def test_jacobi_matches_numpy_eigvalsh():
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-3, 1.0, 1e3, 1e9])
-def test_sym_spectrum_matches_jacobi_reference(scale):
+def test_verify_certificate_margin_matches_jacobi_reference(scale):
+    # the margin is minus the block form's top eigenvalue, accepted or not
     rng = np.random.default_rng(19)
-    for n in range(1, 31):
-        g = rng.standard_normal((n, n)) * scale
-        m = (g + g.T) / 2.0
-        w, _, _ = reference_jacobi_eigh(m)
-        spec = sym_spectrum(m)
-        assert np.abs(spec.eigenvalues - w).max() <= 1e-12 * np.linalg.norm(m)
-        assert spec.abscissa == spec.eigenvalues[-1]
+    for n in range(1, 16):
+        pair = MatrixPair(rng.standard_normal((n, n)) * scale, rng.standard_normal((n, n)) * scale)
+        p, q = rng.uniform(0.1, 3.0, n), rng.uniform(0.1, 3.0, n)
+        f = block_lmi(pair, p, q).full
+        w, _, _ = reference_jacobi_eigh(f)
+        _, margin = verify_certificate(pair, p, q)
+        assert abs(-margin - w[-1]) <= 1e-12 * np.linalg.norm(f)
 
 
 def _proof_cases():

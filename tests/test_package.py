@@ -1,10 +1,63 @@
-"""The package's public surface: every name in __all__ resolves, once; and
-no module of the package imports a name it does not use."""
+"""The package's public surface: __all__ is exactly the pinned names, each
+resolves, once; and no module of the package imports a name it does not
+use."""
 
 import ast
 from pathlib import Path
 
 import riccstab
+
+# the public API, sorted: a name added to or dropped from __all__ shows up here
+PUBLIC_API = [
+    "BlockSymmetric",
+    "ClassMismatchError",
+    "ClassTag",
+    "ClassVerdict",
+    "ContractError",
+    "CorrelationWitness",
+    "DecayReport",
+    "DelayTrajectory",
+    "DimensionError",
+    "MatrixPair",
+    "PMatrixReport",
+    "RiccatiCertificate",
+    "RiccstabError",
+    "ScalingPair",
+    "SizeGuardError",
+    "SolveOptions",
+    "Stability",
+    "Verdict",
+    "block_lmi",
+    "chain_feedback_condition",
+    "classify",
+    "correlation_form_bound",
+    "correlation_form_bound_oracle",
+    "dad_transform",
+    "decay_check",
+    "decay_report",
+    "dpd_conjugate",
+    "dscale_with_certificate",
+    "evaluate_class",
+    "export_csv",
+    "fan_in_feedback_condition",
+    "hadamard_congruence",
+    "is_metzler",
+    "is_nonnegative",
+    "is_p_matrix",
+    "lk_functional",
+    "metzler_nonneg_condition",
+    "normalize_correlation",
+    "p_sign_witness",
+    "refute",
+    "simulate",
+    "solve_diagonal",
+    "structured_condition",
+    "verify_certificate",
+]
+
+
+def test_public_api_is_exactly_the_pinned_names():
+    assert sorted(riccstab.__all__) == PUBLIC_API
 
 
 def test_every_public_name_resolves_once():

@@ -8,7 +8,7 @@ import pytest
 
 from riccstab import matcore, riccati
 from riccstab.errors import ContractError
-from riccstab.matcore import sym_spectrum
+from riccstab.matcore import BlockSymmetric
 from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor, stacked_minors
 from riccstab.riccati import (
     SIGN_ENUM_MAX_N,
@@ -18,11 +18,19 @@ from riccstab.riccati import (
     _sign_hits,
     _sign_minors,
     block_lmi,
+    make_witness,
     refute,
-    riccati_form,
     solve_diagonal,
     verify_certificate,
 )
+
+
+def reference_riccati_form(pair: MatrixPair, p, q) -> np.ndarray:
+    """The n x n Riccati form A'P + PA + Q + P B Q^-1 B' P, whose negative
+    definiteness the block form decides through the Schur complement."""
+    p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
+    pb = p[:, None] * pair.b
+    return pair.a.T * p + p[:, None] * pair.a + np.diag(q) + (pb / q) @ pb.T
 
 
 def reference_sign_witness_search(pair: MatrixPair):
@@ -122,7 +130,7 @@ def reference_screen(pair: MatrixPair):
         tried += 1
         if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
-            witness = riccati.make_witness(pair, np.outer(s_vec, s_vec))
+            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
             if witness is not None:
                 return witness, tried
     if n > SIGN_ENUM_MAX_N:
@@ -130,15 +138,17 @@ def reference_screen(pair: MatrixPair):
     s_full, enum_tried = sigma_sign_witness_search(pair)
     tried += enum_tried
     if s_full is not None:
-        witness = riccati.make_witness(pair, s_full)
+        witness = make_witness(pair, BlockSymmetric(s_full, n))
         if witness is not None:
             return witness, tried
     return None, tried
 
 
 def table_sign_search(pair: MatrixPair):
-    """The enumeration's first hit as the screen reads it from its table."""
-    return next(_sign_hits(_sign_minors(pair) <= 0.0, pair.n), (None, (5**pair.n - 1) // 2))
+    """The enumeration's first hit as the screen reads it from its table,
+    its witness as a plain array."""
+    s, tried = next(_sign_hits(_sign_minors(pair) <= 0.0, pair.n), (None, (5**pair.n - 1) // 2))
+    return (None if s is None else s.full), tried
 
 
 def _first_hit_size(tried: int, n: int) -> int:
@@ -184,11 +194,20 @@ def test_block_lmi_skew_symmetric_a():
     assert np.allclose(block[2:, 2:], -np.eye(2), atol=1e-15)
 
 
+def test_block_form_beyond_the_float_range_names_it():
+    # every input is finite, but the block's (0, 0) entry 2 a p + q is -inf
+    pair = MatrixPair([[-1e308]], [[1e307]])
+    with pytest.raises(ContractError, match="float range"):
+        block_lmi(pair, [1.0], [1.1e308])
+    with pytest.raises(ContractError, match="float range"):
+        verify_certificate(pair, [1.0], [1.1e308])
+
+
 def test_verify_certificate_scalar_accept():
     ok, margin = verify_certificate(MatrixPair([[-2.0]], [[1.0]]), [1.0], [1.0])
     assert ok
     assert margin > 0.5
-    value = riccati_form(MatrixPair([[-2.0]], [[1.0]]), [1.0], [1.0])
+    value = reference_riccati_form(MatrixPair([[-2.0]], [[1.0]]), [1.0], [1.0])
     assert value[0, 0] == pytest.approx(-2.0)
 
 
@@ -203,7 +222,7 @@ def test_verify_certificate_decoupled():
     pair = MatrixPair(-np.eye(2), np.zeros((2, 2)))
     ok, margin = verify_certificate(pair, [1.0, 1.0], [0.5, 0.5])
     assert ok
-    value = riccati_form(pair, [1.0, 1.0], [0.5, 0.5])
+    value = reference_riccati_form(pair, [1.0, 1.0], [0.5, 0.5])
     assert np.allclose(np.diag(value), -1.5, atol=1e-12)
     assert margin == pytest.approx(0.5, abs=1e-9)
 
@@ -211,6 +230,11 @@ def test_verify_certificate_decoupled():
 def test_verify_certificate_rejects_bad_q():
     with pytest.raises(ContractError):
         verify_certificate(MatrixPair([[-2.0]], [[1.0]]), [1.0], [0.0])
+
+
+def test_make_witness_refuses_a_witness_of_the_wrong_size():
+    with pytest.raises(ContractError, match="2 x 2"):
+        make_witness(MatrixPair([[-1.0]], [[2.0]]), BlockSymmetric(np.ones((4, 4)), 2))
 
 
 def test_solve_scalar_feasible():
@@ -272,8 +296,8 @@ def test_schur_sign_equivalence_random():
         pair = MatrixPair(rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-2.0, 2.0, (n, n)))
         p = rng.uniform(0.1, 3.0, n)
         q = rng.uniform(0.1, 3.0, n)
-        ricc = float(sym_spectrum(riccati_form(pair, p, q)).abscissa)
-        block = float(sym_spectrum(block_lmi(pair, p, q).full).abscissa)
+        ricc = float(np.linalg.eigvalsh(reference_riccati_form(pair, p, q))[-1])
+        block = float(np.linalg.eigvalsh(block_lmi(pair, p, q).full)[-1])
         if abs(ricc) < 1e-9 or abs(block) < 1e-9:
             continue
         checked += 1
@@ -516,7 +540,7 @@ def test_verify_certificate_does_not_trust_the_eigensolver(monkeypatch):
     assert not ok
 
 
-def test_verify_certificate_makes_one_proof_and_two_spectra(monkeypatch):
+def test_verify_certificate_makes_one_proof_and_one_spectrum(monkeypatch):
     counts = {"cholesky": 0, "eigvalsh": 0}
     for name in counts:
         original = getattr(np.linalg, name)
@@ -531,23 +555,18 @@ def test_verify_certificate_makes_one_proof_and_two_spectra(monkeypatch):
     pair = MatrixPair(-3.0 * np.eye(n) + 0.1 * rng.standard_normal((n, n)), 0.1 * rng.standard_normal((n, n)))
     ok, _ = verify_certificate(pair, np.ones(n), np.ones(n))
     assert ok
-    assert counts == {"cholesky": 1, "eigvalsh": 2}
+    assert counts == {"cholesky": 1, "eigvalsh": 1}
 
 
 def test_verify_certificate_symmetrises_its_block_once(monkeypatch):
-    shapes = []
-    require_symmetric = matcore._require_symmetric
-
-    def counting(m):
-        shapes.append(np.shape(m))
-        return require_symmetric(m)
-
-    monkeypatch.setattr(matcore, "_require_symmetric", counting)
-    monkeypatch.setattr(riccati, "_require_symmetric", counting)
+    # the block is built once and its symmetry checked once, by BlockSymmetric
+    calls = _counting_calls(monkeypatch, riccati, ("_block", "BlockSymmetric"))
+    symmetrised = _counting_calls(monkeypatch, matcore, ("_require_symmetric",))
     pair = INVARIANCE_BASES[1]
     ok, _ = verify_certificate(pair, np.ones(3), np.ones(3))
     assert ok
-    assert shapes.count((6, 6)) == 1
+    assert calls == ["_block", "BlockSymmetric"]
+    assert symmetrised == []
 
 
 def _counting_calls(monkeypatch, module, names):
@@ -564,14 +583,14 @@ def _counting_calls(monkeypatch, module, names):
 
 
 def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
-    calls = _counting_calls(monkeypatch, riccati, ("make_witness", "sym_spectrum"))
+    calls = _counting_calls(monkeypatch, riccati, ("make_witness", "_image_minor"))
     witness, tried = refute(INVARIANCE_BASES[1])  # feasible, n = 3
     assert witness is None
     assert tried == 2 + (5**3 - 1) // 2
     assert calls == []
     witness, tried = refute(MatrixPair([[-1.0]], [[2.0]]))
     assert witness is not None and tried == 1
-    assert calls == ["make_witness", "sym_spectrum"]  # every check, on the hit alone
+    assert calls == ["make_witness", "_image_minor"]  # every check, on the hit alone
 
 
 # the README pair (one Newton step) and a 3x3 base that unit weights certify
@@ -633,8 +652,8 @@ def test_screen_moves_past_a_hit_make_witness_refuses(c):
 def test_screen_whose_hits_are_all_refused_covers_the_enumeration(monkeypatch):
     offered = []
 
-    def refuse(pair, s_full):
-        offered.append(s_full[0, pair.n :].tobytes())
+    def refuse(pair, s):
+        offered.append(s.full[0, pair.n :].tobytes())
         return None
 
     monkeypatch.setattr(riccati, "make_witness", refuse)
