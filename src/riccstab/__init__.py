@@ -57,9 +57,7 @@ from .riccati import (
 from .transforms import (
     ScalingPair,
     dad_transform,
-    dscale_with_certificate,
     hadamard_congruence,
-    normalize_correlation,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +90,6 @@ __all__ = [
     "decay_check",
     "decay_report",
     "dpd_conjugate",
-    "dscale_with_certificate",
     "evaluate_class",
     "export_csv",
     "fan_in_feedback_condition",
@@ -102,7 +99,6 @@ __all__ = [
     "is_p_matrix",
     "lk_functional",
     "metzler_nonneg_condition",
-    "normalize_correlation",
     "p_sign_witness",
     "refute",
     "simulate",

@@ -2,7 +2,10 @@
 
 For several sign-structured families, diagonal Riccati feasibility reduces to
 a scalar or Hurwitz test. Detection is purely structural (exact zeros, sign
-constraints). The Hurwitz classes decide from the spectral abscissa of the
+constraints). The four signature classes are the pairs that a signature map
+(A, B) -> (DAD, DBE) sends to a Metzler A and a nonnegative B; one signature
+solver (_signatures, a balance test on a signed graph) finds D and E for all
+of them. The Hurwitz classes decide from the spectral abscissa of the
 Metzler comparison matrix, the value each verdict reports, banded relative
 to the matrix entries; the 3x3 feedback margins carry an absolute band of
 1e-9. Boundary instances are reported as Marginal instead of being guessed
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ClassMismatchError, ContractError
+from .errors import ClassMismatchError, ContractError, RiccstabError
 from .matcore import (
     HurwitzResult,
     hurwitz_band,
@@ -86,11 +89,6 @@ class ClassVerdict:
         }
 
 
-def _sgn(x: float) -> float:
-    """Sign with the convention sign(0) = +1."""
-    return 1.0 if x >= 0.0 else -1.0
-
-
 def _single_nonzero_row(b: np.ndarray) -> int | None:
     rows = np.flatnonzero(np.any(b != 0.0, axis=1))
     if rows.size == 0:
@@ -132,56 +130,46 @@ def _is_superdiagonal(b: np.ndarray) -> bool:
 
 
 def _tridiag_sign_symmetric(a: np.ndarray) -> bool:
-    sub = np.diag(a, -1)
-    sup = np.diag(a, 1)
-    return bool(np.all(sub * sup >= 0.0))
+    # the signs, not the entries, are multiplied: a product of tiny entries
+    # of opposite sign can round to -0.0
+    return bool(np.all(np.sign(np.diag(a, -1)) * np.sign(np.diag(a, 1)) >= 0.0))
 
 
-def _chain_signs(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Signature diagonal turning a sign-symmetric tridiagonal into its
-    comparison Metzler form. Each step takes its sign from the subdiagonal
-    entry, falling back to the superdiagonal one when that is zero."""
-    n = sub.size + 1
-    d = np.ones(n)
-    for i in range(n - 1):
-        if sub[i] != 0.0:
-            step = _sgn(sub[i])
-        elif sup[i] != 0.0:
-            step = _sgn(sup[i])
-        else:
-            step = 1.0
-        d[i + 1] = step * d[i]
-    return d
+def _signatures(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Signature vectors (d, e) with DAD the Metzler envelope of A and DBE
+    equal to |B|, or None when no such pair exists.
 
-
-def _last_row_signs(c: np.ndarray, b: np.ndarray, k: int, n: int):
-    """Signature pair (d, e) mapping a diag-plus-last-row A and single-column
-    B onto their comparison envelopes, or None when the signs are incompatible.
-
-    With the last diagonal sign pinned to +1, the i-th sign is forced to
-    sign(c_i) wherever c_i is nonzero, and the single free column sign of E
-    must then absorb sign(b_i) simultaneously for every i in the support of
-    b. That is possible exactly when sign(c_i b_i) is constant over the
-    coupled support and matches sign(b_n) when b_n is nonzero.
+    Each nonzero off-diagonal a_ij asks d_i d_j = sign(a_ij) and each nonzero
+    b_ij asks d_i e_j = sign(b_ij): a signed graph on the 2n unknowns, which
+    has a solution exactly when it is balanced (Harary 1953). Signs spread
+    over the symmetric support of the equations from +1 at the first unknown
+    of each component; then every equation is checked. Zeros, -0.0 among
+    them, ask nothing.
     """
-    required = set()
-    for i in range(n - 1):
-        if c[i] != 0.0 and b[i] != 0.0:
-            required.add(_sgn(c[i]) * _sgn(b[i]))
-    if b[n - 1] != 0.0:
-        required.add(_sgn(b[n - 1]))
-    if len(required) > 1:
+    n = a.shape[0]
+    # unknown u < n is d_u, unknown n + j is e_j
+    equations = [(i, j, x) for i, row in enumerate(a.tolist()) for j, x in enumerate(row) if x != 0.0 and i != j]
+    equations += [(i, n + j, x) for i, row in enumerate(b.tolist()) for j, x in enumerate(row) if x != 0.0]
+    neighbours = [[] for _ in range(2 * n)]
+    for u, v, x in equations:
+        s = 1.0 if x > 0.0 else -1.0
+        neighbours[u].append((v, s))
+        neighbours[v].append((u, s))
+    signs = [0.0] * (2 * n)
+    for root in range(2 * n):
+        if signs[root]:
+            continue
+        signs[root] = 1.0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, s in neighbours[u]:
+                if not signs[v]:
+                    signs[v] = s * signs[u]
+                    stack.append(v)
+    if any(signs[u] * signs[v] * x < 0.0 for u, v, x in equations):
         return None
-    ek = required.pop() if required else 1.0
-    d = np.ones(n)
-    for i in range(n - 1):
-        if c[i] != 0.0:
-            d[i] = _sgn(c[i])
-        elif b[i] != 0.0:
-            d[i] = _sgn(b[i]) * ek
-    e = np.ones(n)
-    e[k] = ek
-    return d, e
+    return np.array(signs[:n]), np.array(signs[n:])
 
 
 def _metzler_family(a: np.ndarray) -> str | None:
@@ -256,18 +244,16 @@ def classify(pair: MatrixPair) -> ClassTag:
         )
 
     col = _single_nonzero_col(b)
-    if _is_diag_plus_last_row(a) and col is not None:
-        c = a[n - 1, : n - 1] if n > 1 else np.zeros(0)
-        if _last_row_signs(c, b[:, col], col, n) is not None:
-            return ClassTag(
-                LAST_ROW_FORM,
-                {
-                    "k": col,
-                    "b": [float(x) for x in b[:, col]],
-                    "last_row": [float(x) for x in c],
-                    "diag": [float(x) for x in np.diag(a)],
-                },
-            )
+    if _is_diag_plus_last_row(a) and col is not None and _signatures(a, b) is not None:
+        return ClassTag(
+            LAST_ROW_FORM,
+            {
+                "k": col,
+                "b": [float(x) for x in b[:, col]],
+                "last_row": [float(x) for x in a[n - 1, : n - 1]],
+                "diag": [float(x) for x in np.diag(a)],
+            },
+        )
 
     family = _metzler_family(a)
     if family is not None and _is_superdiagonal(b):
@@ -315,52 +301,22 @@ def structured_condition(pair: MatrixPair) -> ClassVerdict:
     comparison pair (Metzler envelope of A, entrywise |B|) being feasible,
     hence to the Hurwitz property of their sum.
 
-    Builds the signature matrices D, E realizing that reduction and asserts
-    DAD and DBE reproduce the envelopes exactly before testing.
+    Every pair with one of these tags admits signatures D, E with DAD and DBE
+    equal to the envelopes; they are solved for and checked exactly before
+    the test.
     """
     tag = classify(pair)
     if tag.name not in STRUCTURED_TAGS:
         raise ClassMismatchError(f"pair does not match a signature-reducible class: {tag.name}")
 
     a, b = pair.a, pair.b
-    n = pair.n
     envelopes_a = sign_envelopes(a)
     envelopes_b = sign_envelopes(b)
-
-    if tag.name == METZLER_RANK_ONE_ROW:
-        k = tag.params["k"]
-        d = np.ones(n)
-        e = np.array([_sgn(d[k] * b[k, j]) for j in range(n)])
-    elif tag.name == TRIDIAG_SIGN_SYM:
-        k = tag.params["k"]
-        d = _chain_signs(np.diag(a, -1), np.diag(a, 1))
-        e = np.array([_sgn(d[k] * b[k, j]) for j in range(n)])
-    elif tag.name == LAST_ROW_FORM:
-        k = tag.params["k"]
-        c = a[n - 1, : n - 1] if n > 1 else np.zeros(0)
-        built = _last_row_signs(c, b[:, k], k, n)
-        if built is None:
-            raise ClassMismatchError("single-column B has sign-incompatible coupling")
-        d, e = built
-    else:  # SUPERDIAG_B
-        family = tag.params["family"]
-        if family == "metzler":
-            d = np.ones(n)
-        elif family == "tridiagonal":
-            d = _chain_signs(np.diag(a, -1), np.diag(a, 1))
-        else:
-            d = np.ones(n)
-            for i in range(n - 1):
-                if a[n - 1, i] != 0.0:
-                    d[i] = _sgn(a[n - 1, i])
-        e = np.ones(n)
-        for i in range(n - 1):
-            e[i + 1] = _sgn(d[i] * b[i, i + 1])
-
-    dad = a * np.outer(d, d)
-    dbe = b * np.outer(d, e)
-    assert np.array_equal(dad, envelopes_a.metzler), "signature reduction failed on A"
-    assert np.array_equal(dbe, envelopes_b.nonneg), "signature reduction failed on B"
+    d, e = _signatures(a, b)
+    if not np.array_equal(a * np.outer(d, d), envelopes_a.metzler):
+        raise RiccstabError("signature reduction failed on A")
+    if not np.array_equal(b * np.outer(d, e), envelopes_b.nonneg):
+        raise RiccstabError("signature reduction failed on B")
     return _hurwitz_verdict(tag, envelopes_a.metzler + envelopes_b.nonneg)
 
 

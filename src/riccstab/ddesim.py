@@ -58,12 +58,6 @@ class DelayTrajectory:
     def delay_steps(self) -> int:
         return int(round(self.tau / self.h)) if self.tau > 0.0 else 0
 
-    def state_at(self, k: int) -> np.ndarray:
-        """State at grid index k, with constant-phi extension for k < 0."""
-        if k < 0:
-            return self.phi
-        return self.xs[k]
-
 
 @dataclass(frozen=True)
 class DecayReport:

@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError
-from .matcore import BlockSymmetric, as_positive_vector, as_vector
+from .matcore import BlockSymmetric, as_vector
 from .riccati import MatrixPair, RiccatiCertificate, verify_certificate
 
 PSD_INPUT_TOL = 1e-10
@@ -36,18 +36,6 @@ class ScalingPair:
             raise ContractError("scaling entries must be finite")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
-
-    @classmethod
-    def signature(cls, d, e) -> "ScalingPair":
-        """Build a scaling whose entries are all +1 or -1."""
-        pair = cls(d, e)
-        if not pair.is_signature:
-            raise ContractError("signature scaling entries must be +1 or -1")
-        return pair
-
-    @property
-    def is_signature(self) -> bool:
-        return bool(np.all(np.abs(self.d) == 1.0) and np.all(np.abs(self.e) == 1.0))
 
 
 def _require_contraction(scaling: ScalingPair) -> None:
@@ -87,15 +75,14 @@ def dad_transform(pair: MatrixPair, scaling: ScalingPair) -> tuple[MatrixPair, C
     return out, map_certificate
 
 
-def _require_correlation_shape(s: BlockSymmetric) -> np.ndarray:
-    """Check equal, strictly positive block diagonals; return that diagonal."""
+def _require_correlation_shape(s: BlockSymmetric) -> None:
+    """Check equal, strictly positive block diagonals."""
     d11 = np.diag(s.b11)
     d22 = np.diag(s.b22)
     if np.any(d11 <= 0.0):
         raise ContractError("block diagonals of S must be strictly positive")
     if not np.allclose(d11, d22, rtol=DIAG_MATCH_RTOL, atol=0.0):
         raise ContractError("diag(S11) and diag(S22) must agree")
-    return d11
 
 
 def _require_psd(s: BlockSymmetric, tol: float = PSD_INPUT_TOL) -> None:
@@ -116,36 +103,3 @@ def hadamard_congruence(pair: MatrixPair, s: BlockSymmetric) -> MatrixPair:
     _require_correlation_shape(s)
     _require_psd(s)
     return MatrixPair(pair.a * s.b11, pair.b * s.b12)
-
-
-def normalize_correlation(s: BlockSymmetric) -> BlockSymmetric:
-    """Rescale a PSD S with equal positive block diagonals to unit diagonal.
-
-    Conjugates by diag(1/sqrt(diag)) twice over, which preserves semidefiniteness
-    and is the identity on matrices that already have unit diagonal.
-    """
-    d11 = _require_correlation_shape(s)
-    _require_psd(s)
-    root = 1.0 / np.sqrt(d11)
-    t = np.concatenate([root, root])
-    return BlockSymmetric(s.full * np.outer(t, t), s.n)
-
-
-def dscale_with_certificate(
-    pair: MatrixPair, d, cert: RiccatiCertificate
-) -> tuple[MatrixPair, RiccatiCertificate]:
-    """Row scaling (A, B) -> (DA, DB) for diagonal D > 0, with mapped certificate.
-
-    The map (P, Q) -> (P D^{-1}, Q) leaves the verification block unchanged,
-    so the certified margin survives the scaling exactly.
-    """
-    dv = as_positive_vector(d, pair.n)
-    ok, _ = verify_certificate(pair, cert.p, cert.q, 0.0)
-    if not ok:
-        raise ContractError("input certificate is not valid for the given pair")
-    out = MatrixPair(dv[:, None] * pair.a, dv[:, None] * pair.b)
-    p_new = cert.p / dv
-    ok, margin = verify_certificate(out, p_new, cert.q, 0.0)
-    if not ok:
-        raise ContractError("scaled certificate failed verification")
-    return out, RiccatiCertificate(p=p_new, q=cert.q.copy(), margin=margin)

@@ -23,7 +23,8 @@ from riccstab.classes import (
     metzler_nonneg_condition,
     structured_condition,
 )
-from riccstab.errors import ClassMismatchError, ContractError
+from riccstab.errors import ClassMismatchError, ContractError, RiccstabError
+from riccstab.matcore import sign_envelopes
 from riccstab.riccati import MatrixPair
 
 
@@ -129,6 +130,107 @@ def test_structured_last_row_mixed_signs_reduces_to_diagonal():
     a2[0, 0] = 0.5
     verdict2 = structured_condition(MatrixPair(a2, np.zeros((3, 3))))
     assert verdict2.stable is Stability.NOT_STABLE
+
+
+def structured_family():
+    """100 pairs from each structured generator, each also under one random
+    signature conjugation (DAD, DBE): 800 pairs."""
+    rng = np.random.default_rng(2201)
+    for generator in (
+        acceptance._rank_one_row_instance,
+        acceptance._tridiag_instance,
+        acceptance._last_row_instance,
+        acceptance._superdiag_instance,
+    ):
+        for _ in range(100):
+            pair = generator(rng)
+            yield pair
+            yield acceptance._signature_conjugate(rng, pair)
+
+
+def test_signatures_refuse_an_unbalanced_pair():
+    assert classes._signatures(np.array([[-1.0, 1.0], [-1.0, -1.0]]), np.zeros((2, 2))) is None
+
+
+def test_signatures_solve_one_sided_and_negative_zero_entries():
+    # a_01 = -0.0 and a_21 = 0 ask nothing; a_10 and a_12 still tie d_1 to d_0 and d_2
+    a = np.array([[-1.0, -0.0, 0.0], [-0.5, -2.0, 0.3], [0.0, 0.0, -1.0]])
+    b = np.zeros((3, 3))
+    b[1] = (0.4, -0.2, -0.0)
+    pair = MatrixPair(a, b)
+    assert classify(pair).name == TRIDIAG_SIGN_SYM
+    d, e = classes._signatures(a, b)
+    assert np.array_equal(a * np.outer(d, d), sign_envelopes(a).metzler)
+    assert np.array_equal(b * np.outer(d, e), sign_envelopes(b).nonneg)
+    assert structured_condition(pair).stable is Stability.STABLE
+
+
+def test_incompatible_last_row_pair_is_not_last_row_form():
+    # sign(c_0 b_0) = -1 but sign(c_1 b_1) = +1: no single column sign absorbs both
+    a = np.diag([-1.0, -1.0, -1.0, -2.0])
+    a[3, :3] = (-1.0, 2.0, 0.0)
+    b = np.zeros((4, 4))
+    b[:2, 3] = (1.0, 1.0)
+    pair = MatrixPair(a, b)
+    assert classify(pair).name == UNSTRUCTURED
+    b[1, 3] = -1.0
+    assert classify(MatrixPair(a, b)).name == LAST_ROW_FORM
+
+
+def test_tridiagonal_signs_compare_where_their_product_underflows():
+    # 1e-200 * -1e-200 rounds to -0.0; the signs still disagree
+    a = np.array([[-1.0, -1e-200], [1e-200, -1.0]])
+    b = np.zeros((2, 2))
+    b[0, 1] = 0.5
+    pair = MatrixPair(a, b)
+    assert classify(pair).name == UNSTRUCTURED
+    with pytest.raises(ClassMismatchError):
+        evaluate_class(pair)
+
+
+def test_every_structured_tag_has_exact_signatures():
+    tagged = 0
+    for pair in structured_family():
+        if classify(pair).name not in classes.STRUCTURED_TAGS:
+            continue
+        tagged += 1
+        d, e = classes._signatures(pair.a, pair.b)
+        assert set(d.tolist()) <= {-1.0, 1.0} and set(e.tolist()) <= {-1.0, 1.0}
+        assert np.array_equal(pair.a * np.outer(d, d), sign_envelopes(pair.a).metzler)
+        assert np.array_equal(pair.b * np.outer(d, e), sign_envelopes(pair.b).nonneg)
+    assert tagged == 686
+
+
+def test_structured_family_census():
+    census = {}
+    for pair in structured_family():
+        tag = classify(pair).name
+        stable = evaluate_class(pair).stable.value if tag != UNSTRUCTURED else "-"
+        census[tag, stable] = census.get((tag, stable), 0) + 1
+    assert census == {
+        (METZLER_NONNEG, "NotStable"): 9,
+        (METZLER_NONNEG, "Stable"): 18,
+        (METZLER_RANK_ONE_ROW, "NotStable"): 65,
+        (METZLER_RANK_ONE_ROW, "Stable"): 73,
+        (TRIDIAG_SIGN_SYM, "NotStable"): 115,
+        (TRIDIAG_SIGN_SYM, "Stable"): 86,
+        (LAST_ROW_FORM, "NotStable"): 38,
+        (LAST_ROW_FORM, "Stable"): 162,
+        (SUPERDIAG_B, "NotStable"): 55,
+        (SUPERDIAG_B, "Stable"): 92,
+        (UNSTRUCTURED, "-"): 87,
+    }
+
+
+def test_a_wrong_signature_is_refused_naming_the_matrix(monkeypatch):
+    pair = MatrixPair([[-3.0, -1.0], [-1.0, -3.0]], [[0.0, 0.5], [0.0, 0.0]])
+    d, e = classes._signatures(pair.a, pair.b)
+    monkeypatch.setattr(classes, "_signatures", lambda a, b: (d * [1.0, -1.0], e))
+    with pytest.raises(RiccstabError, match="on A"):
+        structured_condition(pair)
+    monkeypatch.setattr(classes, "_signatures", lambda a, b: (d, -e))
+    with pytest.raises(RiccstabError, match="on B"):
+        structured_condition(pair)
 
 
 def test_chain_condition_stable_example():

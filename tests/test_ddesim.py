@@ -317,7 +317,8 @@ def test_lk_matches_direct_trapezoid():
     values = lk_functional(traj, SCALAR_CERT)
     m = traj.delay_steps
     for k in (0, 1, m - 1, m, m + 3, traj.xs.shape[0] - 1):
-        window = np.array([traj.state_at(j)[0] ** 2 for j in range(k - m, k + 1)])
+        # the constant history phi stands in for the states before index 0
+        window = np.array([(traj.xs[j] if j >= 0 else traj.phi)[0] ** 2 for j in range(k - m, k + 1)])
         integral = traj.h * (window.sum() - 0.5 * window[0] - 0.5 * window[-1])
         assert values[k, 1] == pytest.approx(traj.xs[k, 0] ** 2 + integral, abs=1e-12)
 

@@ -36,7 +36,6 @@ PUBLIC_API = [
     "decay_check",
     "decay_report",
     "dpd_conjugate",
-    "dscale_with_certificate",
     "evaluate_class",
     "export_csv",
     "fan_in_feedback_condition",
@@ -46,7 +45,6 @@ PUBLIC_API = [
     "is_p_matrix",
     "lk_functional",
     "metzler_nonneg_condition",
-    "normalize_correlation",
     "p_sign_witness",
     "refute",
     "simulate",
@@ -70,14 +68,22 @@ def test_every_public_name_resolves_once():
 def test_no_module_imports_a_name_it_does_not_use():
     """An import is used when its bound name is read anywhere in the module.
     __init__.py, which imports to re-export, and lines marked noqa are
-    skipped."""
+    skipped. Likewise every module-level private def or class must be
+    referenced, by name or as an attribute, somewhere in the package."""
     unused = []
+    private = {}
+    referenced = set()
     for path in sorted(Path(riccstab.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         source = path.read_text()
         lines = source.splitlines()
         tree = ast.parse(source)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        referenced |= used | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                private[node.name] = f"{path.name}:{node.lineno}"
+        if path.name == "__init__.py":
+            continue
         imported = {}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -86,6 +92,6 @@ def test_no_module_imports_a_name_it_does_not_use():
                 for alias in node.names:
                     if "noqa" not in lines[alias.lineno - 1]:
                         imported[(alias.asname or alias.name).split(".")[0]] = alias.lineno
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+    unused += [f"{where} {name}" for name, where in private.items() if name not in referenced]
     assert unused == []
