@@ -2,14 +2,16 @@
 
 For several sign-structured families, diagonal Riccati feasibility reduces to
 a scalar or Hurwitz test. Detection is purely structural (exact zeros, sign
-constraints). The four signature classes are the pairs that a signature map
-(A, B) -> (DAD, DBE) sends to a Metzler A and a nonnegative B; one signature
-solver (_signatures, a balance test on a signed graph) finds D and E for all
-of them. The Hurwitz classes decide from the spectral abscissa of the
-Metzler comparison matrix, the value each verdict reports, banded relative
-to the matrix entries; the 3x3 feedback margins carry an absolute band of
-1e-9. Boundary instances are reported as Marginal instead of being guessed
-at.
+constraints): classify runs each structural test at most once, and
+evaluate_class classifies once, then runs the verdict of the tag. The four
+signature classes are the pairs that a signature map (A, B) -> (DAD, DBE)
+sends to a Metzler A and a nonnegative B; one signature solver (_signatures,
+a balance test on a signed graph) finds D and E for all of them. The Hurwitz
+classes decide by the tri-state Hurwitz test of the Metzler comparison
+matrix (_hurwitz_verdict): its spectral abscissa, the value each verdict
+reports, banded by MARGINAL_BAND relative to the matrix entries; the 3x3
+feedback margins carry MARGINAL_BAND as an absolute band. Boundary instances
+are reported as Marginal instead of being guessed at.
 """
 
 from __future__ import annotations
@@ -21,14 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatchError, ContractError, RiccstabError
-from .matcore import (
-    HurwitzResult,
-    hurwitz_band,
-    is_metzler,
-    is_nonnegative,
-    sign_envelopes,
-    spectral_abscissa,
-)
+from .matcore import is_metzler, is_nonnegative, sign_envelopes, spectral_abscissa
 from .riccati import MatrixPair
 
 MARGINAL_BAND = 1e-9
@@ -46,16 +41,12 @@ STRUCTURED_TAGS = (METZLER_RANK_ONE_ROW, TRIDIAG_SIGN_SYM, LAST_ROW_FORM, SUPERD
 
 
 class Stability(str, enum.Enum):
+    """Tri-state verdict of a closed-form class condition: Marginal when the
+    deciding value lies within its band of zero."""
+
     STABLE = "Stable"
     NOT_STABLE = "NotStable"
     MARGINAL = "Marginal"
-
-
-_HURWITZ_TO_STABILITY = {
-    HurwitzResult.HURWITZ: Stability.STABLE,
-    HurwitzResult.NOT_HURWITZ: Stability.NOT_STABLE,
-    HurwitzResult.MARGINAL: Stability.MARGINAL,
-}
 
 
 @dataclass(frozen=True)
@@ -89,22 +80,13 @@ class ClassVerdict:
         }
 
 
-def _single_nonzero_row(b: np.ndarray) -> int | None:
-    rows = np.flatnonzero(np.any(b != 0.0, axis=1))
-    if rows.size == 0:
-        return 0
-    if rows.size == 1:
-        return int(rows[0])
-    return None
-
-
-def _single_nonzero_col(b: np.ndarray) -> int | None:
-    cols = np.flatnonzero(np.any(b != 0.0, axis=0))
-    if cols.size == 0:
-        return 0
-    if cols.size == 1:
-        return int(cols[0])
-    return None
+def _single_nonzero_line(b: np.ndarray, axis: int) -> int | None:
+    """The one row (axis=1) or column (axis=0) of b that holds every nonzero
+    entry: 0 when b is zero, None when two or more hold one."""
+    lines = np.flatnonzero(np.any(b != 0.0, axis=axis))
+    if lines.size > 1:
+        return None
+    return int(lines[0]) if lines.size else 0
 
 
 def _is_tridiagonal(a: np.ndarray) -> bool:
@@ -122,11 +104,7 @@ def _is_diag_plus_last_row(a: np.ndarray) -> bool:
 
 
 def _is_superdiagonal(b: np.ndarray) -> bool:
-    mask = np.ones_like(b, dtype=bool)
-    n = b.shape[0]
-    for i in range(n - 1):
-        mask[i, i + 1] = False
-    return bool(np.all(b[mask] == 0.0))
+    return bool(np.all(b == np.diag(np.diag(b, 1), 1)))
 
 
 def _tridiag_sign_symmetric(a: np.ndarray) -> bool:
@@ -172,45 +150,30 @@ def _signatures(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray] |
     return np.array(signs[:n]), np.array(signs[n:])
 
 
-def _metzler_family(a: np.ndarray) -> str | None:
-    """Which A-family admits a signature D with DAD equal to the Metzler
-    envelope: Metzler itself, sign-symmetric tridiagonal, or diagonal plus
-    last row."""
-    if is_metzler(a):
-        return "metzler"
-    if _is_tridiagonal(a) and _tridiag_sign_symmetric(a):
-        return "tridiagonal"
-    if _is_diag_plus_last_row(a):
-        return "last_row"
+# the 3x3 feedback shapes: the entries of A that must be zero, and where the
+# first coupling c_1 sits (the second is a_21 in both); B is zero but for
+# b_02 and b_12 in both
+_FEEDBACK_SHAPES = {
+    CHAIN_3X3: (((0, 1), (0, 2), (1, 2), (2, 0)), (1, 0)),
+    FAN_IN_3X3: (((0, 1), (0, 2), (1, 0), (1, 2)), (2, 0)),
+}
+
+
+def _feedback_tag(pair: MatrixPair, names: tuple[str, ...]) -> ClassTag | None:
+    """The tag of the first 3x3 feedback shape among names that the pair
+    has, with its diagonal a, couplings c and feedback gains b; None when it
+    has none of them."""
+    if pair.n != 3:
+        return None
+    a, b = pair.a, pair.b
+    if np.any(b[:, :2] != 0.0) or b[2, 2] != 0.0:
+        return None
+    for name in names:
+        zeros, coupling = _FEEDBACK_SHAPES[name]
+        if all(a[ij] == 0.0 for ij in zeros):
+            c = [float(a[coupling]), float(a[2, 1])]
+            return ClassTag(name, {"a": np.diag(a).tolist(), "c": c, "b": b[:2, 2].tolist()})
     return None
-
-
-def _chain_pattern(pair: MatrixPair) -> bool:
-    if pair.n != 3:
-        return False
-    a, b = pair.a, pair.b
-    a_ok = a[0, 1] == 0.0 and a[0, 2] == 0.0 and a[1, 2] == 0.0 and a[2, 0] == 0.0
-    return a_ok and _fan_in_b_pattern(b)
-
-
-def _fan_in_pattern(pair: MatrixPair) -> bool:
-    if pair.n != 3:
-        return False
-    a, b = pair.a, pair.b
-    a_ok = (
-        a[0, 1] == 0.0
-        and a[0, 2] == 0.0
-        and a[1, 0] == 0.0
-        and a[1, 2] == 0.0
-    )
-    return a_ok and _fan_in_b_pattern(b)
-
-
-def _fan_in_b_pattern(b: np.ndarray) -> bool:
-    mask = np.ones((3, 3), dtype=bool)
-    mask[0, 2] = False
-    mask[1, 2] = False
-    return bool(np.all(b[mask] == 0.0))
 
 
 def classify(pair: MatrixPair) -> ClassTag:
@@ -219,96 +182,56 @@ def classify(pair: MatrixPair) -> ClassTag:
     Order: Metzler A with nonnegative B; Metzler A with single-row B;
     sign-symmetric tridiagonal A with single-row B; diagonal-plus-last-row A
     with single-column B (sign-compatible); superdiagonal B over any of the
-    three A families; the two 3x3 feedback patterns; Unstructured.
+    three A families; the two 3x3 feedback patterns; Unstructured. Each
+    structural test runs at most once.
     """
     a, b = pair.a, pair.b
-    n = pair.n
 
-    if is_metzler(a) and is_nonnegative(b):
+    metzler = is_metzler(a)
+    if metzler and is_nonnegative(b):
         return ClassTag(METZLER_NONNEG)
 
-    row = _single_nonzero_row(b)
-    if is_metzler(a) and row is not None:
-        return ClassTag(METZLER_RANK_ONE_ROW, {"k": row, "b": [float(x) for x in b[row]]})
+    row = _single_nonzero_line(b, axis=1)
+    if metzler and row is not None:
+        return ClassTag(METZLER_RANK_ONE_ROW, {"k": row, "b": b[row].tolist()})
 
-    if _is_tridiagonal(a) and _tridiag_sign_symmetric(a) and row is not None:
-        return ClassTag(
-            TRIDIAG_SIGN_SYM,
-            {
-                "k": row,
-                "b": [float(x) for x in b[row]],
-                "lower": [float(x) for x in np.diag(a, -1)],
-                "upper": [float(x) for x in np.diag(a, 1)],
-                "diag": [float(x) for x in np.diag(a)],
-            },
-        )
+    tridiagonal = _is_tridiagonal(a) and _tridiag_sign_symmetric(a)
+    if tridiagonal and row is not None:
+        lower, upper, diag = (np.diag(a, k).tolist() for k in (-1, 1, 0))
+        return ClassTag(TRIDIAG_SIGN_SYM, {"k": row, "b": b[row].tolist(), "lower": lower, "upper": upper, "diag": diag})
 
-    col = _single_nonzero_col(b)
-    if _is_diag_plus_last_row(a) and col is not None and _signatures(a, b) is not None:
-        return ClassTag(
-            LAST_ROW_FORM,
-            {
-                "k": col,
-                "b": [float(x) for x in b[:, col]],
-                "last_row": [float(x) for x in a[n - 1, : n - 1]],
-                "diag": [float(x) for x in np.diag(a)],
-            },
-        )
+    last_row = _is_diag_plus_last_row(a)
+    col = _single_nonzero_line(b, axis=0)
+    if last_row and col is not None and _signatures(a, b) is not None:
+        params = {"k": col, "b": b[:, col].tolist(), "last_row": a[-1, :-1].tolist(), "diag": np.diag(a).tolist()}
+        return ClassTag(LAST_ROW_FORM, params)
 
-    family = _metzler_family(a)
+    # the A-families with a signature D that makes DAD the Metzler envelope
+    family = "metzler" if metzler else "tridiagonal" if tridiagonal else "last_row" if last_row else None
     if family is not None and _is_superdiagonal(b):
-        sup_b = [float(b[i, i + 1]) for i in range(n - 1)]
-        return ClassTag(SUPERDIAG_B, {"family": family, "b": sup_b})
+        return ClassTag(SUPERDIAG_B, {"family": family, "b": np.diag(b, 1).tolist()})
 
-    if _chain_pattern(pair):
-        return ClassTag(
-            CHAIN_3X3,
-            {
-                "a": [float(a[i, i]) for i in range(3)],
-                "c": [float(a[1, 0]), float(a[2, 1])],
-                "b": [float(b[0, 2]), float(b[1, 2])],
-            },
-        )
-
-    if _fan_in_pattern(pair):
-        return ClassTag(
-            FAN_IN_3X3,
-            {
-                "a": [float(a[i, i]) for i in range(3)],
-                "c": [float(a[2, 0]), float(a[2, 1])],
-                "b": [float(b[0, 2]), float(b[1, 2])],
-            },
-        )
-
-    return ClassTag(UNSTRUCTURED)
+    return _feedback_tag(pair, (CHAIN_3X3, FAN_IN_3X3)) or ClassTag(UNSTRUCTURED)
 
 
 def _hurwitz_verdict(tag: ClassTag, m: np.ndarray) -> ClassVerdict:
-    abscissa = spectral_abscissa(m)
-    stable = _HURWITZ_TO_STABILITY[hurwitz_band(abscissa, m)]
-    return ClassVerdict(tag, stable, {"spectral_abscissa": abscissa})
+    """Tri-state Hurwitz test of m from its spectral abscissa mu, the value
+    reported. Marginal when |mu| <= MARGINAL_BAND * max|m_ij|: the band is
+    relative to the entries with no absolute floor, so c * m gets the
+    verdict of m for every c > 0."""
+    mu = spectral_abscissa(m)
+    if abs(mu) <= MARGINAL_BAND * float(np.abs(m).max()):
+        stable = Stability.MARGINAL
+    else:
+        stable = Stability.STABLE if mu < 0.0 else Stability.NOT_STABLE
+    return ClassVerdict(tag, stable, {"spectral_abscissa": mu})
 
 
-def metzler_nonneg_condition(pair: MatrixPair) -> ClassVerdict:
-    """Metzler A, nonnegative B: feasible exactly when A + B is Hurwitz."""
-    if not (is_metzler(pair.a) and is_nonnegative(pair.b)):
-        raise ClassMismatchError("pair is not Metzler A with nonnegative B")
-    return _hurwitz_verdict(ClassTag(METZLER_NONNEG), pair.a + pair.b)
+def _metzler_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
+    return _hurwitz_verdict(tag, pair.a + pair.b)
 
 
-def structured_condition(pair: MatrixPair) -> ClassVerdict:
-    """Signature-reducible classes: feasibility of (A, B) is equivalent to the
-    comparison pair (Metzler envelope of A, entrywise |B|) being feasible,
-    hence to the Hurwitz property of their sum.
-
-    Every pair with one of these tags admits signatures D, E with DAD and DBE
-    equal to the envelopes; they are solved for and checked exactly before
-    the test.
-    """
-    tag = classify(pair)
-    if tag.name not in STRUCTURED_TAGS:
-        raise ClassMismatchError(f"pair does not match a signature-reducible class: {tag.name}")
-
+def _signature_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
     a, b = pair.a, pair.b
     envelopes_a = sign_envelopes(a)
     envelopes_b = sign_envelopes(b)
@@ -331,6 +254,58 @@ def _banded_verdict(tag: ClassTag, margins: dict) -> ClassVerdict:
     return ClassVerdict(tag, stable, margins)
 
 
+def _chain_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
+    (a1, a2, a3), (c1, c2), (b1, b2) = tag.params["a"], tag.params["c"], tag.params["b"]
+    margins = {
+        "diagonal_margin": -max(a1, a2, a3),
+        "tail_margin": a2 * a3 - abs(b2 * c2),
+        "determinant_margin": abs(a1 * a2 * a3) - abs(c2 * (b1 * c1 - a1 * b2)),
+    }
+    return _banded_verdict(tag, margins)
+
+
+def _fan_in_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
+    (a1, a2, a3), (c1, c2), (b1, b2) = tag.params["a"], tag.params["c"], tag.params["b"]
+    margins = {
+        "diagonal_margin": -max(a1, a2, a3),
+        "branch1_margin": a1 * a3 - abs(c1 * b1),
+        "branch2_margin": a2 * a3 - abs(b2 * c2),
+        "determinant_margin": abs(a1 * a2 * a3) - abs(a1 * b2 * c2 + b1 * c1 * a2),
+    }
+    return _banded_verdict(tag, margins)
+
+
+# the closed-form verdict of each structured tag, (pair, tag) -> ClassVerdict
+_VERDICTS = {
+    METZLER_NONNEG: _metzler_verdict,
+    **dict.fromkeys(STRUCTURED_TAGS, _signature_verdict),
+    CHAIN_3X3: _chain_verdict,
+    FAN_IN_3X3: _fan_in_verdict,
+}
+
+
+def metzler_nonneg_condition(pair: MatrixPair) -> ClassVerdict:
+    """Metzler A, nonnegative B: feasible exactly when A + B is Hurwitz."""
+    if not (is_metzler(pair.a) and is_nonnegative(pair.b)):
+        raise ClassMismatchError("pair is not Metzler A with nonnegative B")
+    return _metzler_verdict(pair, ClassTag(METZLER_NONNEG))
+
+
+def structured_condition(pair: MatrixPair) -> ClassVerdict:
+    """Signature-reducible classes: feasibility of (A, B) is equivalent to the
+    comparison pair (Metzler envelope of A, entrywise |B|) being feasible,
+    hence to the Hurwitz property of their sum.
+
+    Every pair with one of these tags admits signatures D, E with DAD and DBE
+    equal to the envelopes; they are solved for and checked exactly before
+    the test.
+    """
+    tag = classify(pair)
+    if tag.name not in STRUCTURED_TAGS:
+        raise ClassMismatchError(f"pair does not match a signature-reducible class: {tag.name}")
+    return _signature_verdict(pair, tag)
+
+
 def chain_feedback_condition(pair: MatrixPair) -> ClassVerdict:
     """Cascade with feedback into the last state: A lower bidiagonal, B
     feeding states 1 and 2 from state 3.
@@ -339,39 +314,20 @@ def chain_feedback_condition(pair: MatrixPair) -> ClassVerdict:
     negative, the tail product dominating its feedback term, and the full
     product dominating the combined loop term.
     """
-    if not _chain_pattern(pair):
+    tag = _feedback_tag(pair, (CHAIN_3X3,))
+    if tag is None:
         raise ClassMismatchError("pair does not match the 3x3 chain feedback pattern")
-    a = pair.a
-    a1, a2, a3 = (float(a[i, i]) for i in range(3))
-    c1, c2 = float(a[1, 0]), float(a[2, 1])
-    b1, b2 = float(pair.b[0, 2]), float(pair.b[1, 2])
-    margins = {
-        "diagonal_margin": -max(a1, a2, a3),
-        "tail_margin": a2 * a3 - abs(b2 * c2),
-        "determinant_margin": abs(a1 * a2 * a3) - abs(c2 * (b1 * c1 - a1 * b2)),
-    }
-    tag = ClassTag(CHAIN_3X3, {"a": [a1, a2, a3], "c": [c1, c2], "b": [b1, b2]})
-    return _banded_verdict(tag, margins)
+    return _chain_verdict(pair, tag)
 
 
 def fan_in_feedback_condition(pair: MatrixPair) -> ClassVerdict:
     """Two decoupled states feeding a third, with feedback from it: A diagonal
     plus last row, B feeding states 1 and 2 from state 3.
     """
-    if not _fan_in_pattern(pair):
+    tag = _feedback_tag(pair, (FAN_IN_3X3,))
+    if tag is None:
         raise ClassMismatchError("pair does not match the 3x3 fan-in feedback pattern")
-    a = pair.a
-    a1, a2, a3 = (float(a[i, i]) for i in range(3))
-    c1, c2 = float(a[2, 0]), float(a[2, 1])
-    b1, b2 = float(pair.b[0, 2]), float(pair.b[1, 2])
-    margins = {
-        "diagonal_margin": -max(a1, a2, a3),
-        "branch1_margin": a1 * a3 - abs(c1 * b1),
-        "branch2_margin": a2 * a3 - abs(b2 * c2),
-        "determinant_margin": abs(a1 * a2 * a3) - abs(a1 * b2 * c2 + b1 * c1 * a2),
-    }
-    tag = ClassTag(FAN_IN_3X3, {"a": [a1, a2, a3], "c": [c1, c2], "b": [b1, b2]})
-    return _banded_verdict(tag, margins)
+    return _fan_in_verdict(pair, tag)
 
 
 def correlation_form_bound(c: float, d: float) -> float:
@@ -428,18 +384,12 @@ def correlation_form_bound_oracle(c: float, d: float, grid_step: float = 0.01) -
 
 
 def evaluate_class(pair: MatrixPair) -> ClassVerdict:
-    """Classify and run the matching closed-form condition.
+    """Classify once and run the matching closed-form condition.
 
     Raises ClassMismatchError for unstructured pairs; callers wanting a
     verdict regardless should fall back to the numeric solver.
     """
     tag = classify(pair)
-    if tag.name == METZLER_NONNEG:
-        return metzler_nonneg_condition(pair)
-    if tag.name in STRUCTURED_TAGS:
-        return structured_condition(pair)
-    if tag.name == CHAIN_3X3:
-        return chain_feedback_condition(pair)
-    if tag.name == FAN_IN_3X3:
-        return fan_in_feedback_condition(pair)
-    raise ClassMismatchError("pair does not match any structured class")
+    if tag.name not in _VERDICTS:
+        raise ClassMismatchError("pair does not match any structured class")
+    return _VERDICTS[tag.name](pair, tag)

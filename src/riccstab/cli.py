@@ -17,9 +17,9 @@ import sys
 from pathlib import Path
 
 from . import acceptance
-from .classes import UNSTRUCTURED, Stability, classify, evaluate_class
+from .classes import UNSTRUCTURED, ClassTag, Stability, evaluate_class
 from .ddesim import _decay_run, export_csv
-from .errors import RiccstabError
+from .errors import ClassMismatchError, RiccstabError
 from .riccati import MatrixPair, SolveOptions, Verdict, refute, solve_diagonal
 from .transforms import ScalingPair, dad_transform
 
@@ -157,12 +157,12 @@ def _cmd_check(data: dict, args) -> int:
 
 def _cmd_classify(data: dict, args) -> int:
     pair = _problem_pair(data)
-    tag = classify(pair)
-    if tag.name == UNSTRUCTURED:
+    try:
+        class_verdict = evaluate_class(pair)
+    except ClassMismatchError:  # unstructured: the options are read only here
         verdict = solve_diagonal(pair, _solve_options(data, args))
-        _emit_json({"tag": tag.to_json(), "verdict": verdict.to_json()}, args.out)
+        _emit_json({"tag": ClassTag(UNSTRUCTURED).to_json(), "verdict": verdict.to_json()}, args.out)
         return _verdict_exit(verdict)
-    class_verdict = evaluate_class(pair)
     _emit_json(class_verdict.to_json(), args.out)
     return EXIT_UNDECIDED if class_verdict.stable is Stability.MARGINAL else EXIT_OK
 

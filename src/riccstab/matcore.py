@@ -2,15 +2,13 @@
 
 Everything downstream leans on this module: sign envelopes, the
 BlockSymmetric type, a rounding-safe Cholesky proof of negative
-definiteness that holds however accurate an eigensolver is, and a
-tri-state Hurwitz test that bands the spectral abscissa relative to the
-size of the entries. Matrices are dense, row-major numpy arrays of
-float64. All functions are pure.
+definiteness that holds however accurate an eigensolver is, and the
+spectral abscissa (the class verdicts in classes band it). Matrices are
+dense, row-major numpy arrays of float64. All functions are pure.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -19,7 +17,6 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 
-HURWITZ_MARGIN = 1e-9
 SYMMETRY_RTOL = 1e-10
 
 
@@ -86,6 +83,7 @@ def is_metzler(m) -> bool:
 
 
 def is_nonnegative(m) -> bool:
+    """True when every entry is >= 0."""
     return bool(np.all(as_matrix(m) >= 0.0))
 
 
@@ -175,24 +173,7 @@ def _proves_negative_definite(a: np.ndarray, margin: float) -> bool:
     return True
 
 
-class HurwitzResult(str, enum.Enum):
-    HURWITZ = "Hurwitz"
-    NOT_HURWITZ = "NotHurwitz"
-    MARGINAL = "Marginal"
-
-
 def spectral_abscissa(a) -> float:
     """Largest real part over the eigenvalues of a square matrix."""
     return float(np.max(np.linalg.eigvals(as_square(a)).real))
 
-
-def hurwitz_band(mu: float, a, margin: float = HURWITZ_MARGIN) -> HurwitzResult:
-    """Tri-state verdict from the spectral abscissa mu of a.
-
-    Marginal when |mu| <= margin * max|a_ij|. The band is relative to the
-    entries with no absolute floor, so c * a gets the verdict of a for every
-    c > 0.
-    """
-    if abs(mu) <= margin * float(np.abs(a).max()):
-        return HurwitzResult.MARGINAL
-    return HurwitzResult.HURWITZ if mu < 0.0 else HurwitzResult.NOT_HURWITZ

@@ -226,20 +226,20 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
 def make_witness(pair: MatrixPair, s: BlockSymmetric) -> CorrelationWitness | None:
     """Validate a candidate witness matrix; None when it does not qualify.
 
-    Qualification: both diagonal blocks of S exactly unit within 1e-12, S
-    PSD within WITNESS_PSD_TOL (smallest LAPACK eigenvalue), and the image
-    -(A o S11 + B o S12) has a principal minor <= 0 (strict failure, no
-    marginal-band refutations; see _image_minor). S is symmetric by type;
-    one whose block size is not the pair's raises ContractError.
+    Qualification: both diagonal blocks of S exactly unit within 1e-12, the
+    image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
+    no marginal-band refutations; see _image_minor), and S PSD within
+    WITNESS_PSD_TOL (smallest LAPACK eigenvalue), tested in that order, so a
+    candidate whose image has no such minor costs no spectrum. S is
+    symmetric by type; one whose block size is not the pair's raises
+    ContractError.
     """
     if s.n != pair.n:
         raise ContractError(f"witness must be {2 * pair.n} x {2 * pair.n}")
     if np.abs(np.diag(s.full) - 1.0).max() > 1e-12:
         return None
-    if float(np.linalg.eigvalsh(s.full)[0]) < -WITNESS_PSD_TOL:
-        return None
     report = _image_minor(pair, s.b11, s.b12)
-    if report is None:
+    if report is None or float(np.linalg.eigvalsh(s.full)[0]) < -WITNESS_PSD_TOL:
         return None
     return CorrelationWitness(s=s, p_report=report)
 
@@ -352,11 +352,12 @@ def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
 
     The two structured extremes, then the rank-one sign enumeration. The
     extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
-    and their image is -(A +- B): the minors of sigma = +-1 in the table of
-    _sign_minors up to n = SIGN_ENUM_MAX_N, the walk of nonpositive_minor
-    above it, where the screen is the extremes alone. make_witness, which
-    checks the candidate through its own walk, runs only on a hit; a hit it
-    refuses moves the screen on. Up to SIGN_ENUM_MAX_N every distinct minor
+    and their image is -(A +- B). Up to n = SIGN_ENUM_MAX_N its minors are
+    those of sigma = +-1 in the table of _sign_minors, and make_witness,
+    which checks the candidate through its own walk, runs only on a hit; a
+    hit it refuses moves the screen on. Above it the screen is the extremes
+    alone, each offered to make_witness directly, whose one walk of
+    nonpositive_minor is the test. Up to SIGN_ENUM_MAX_N every distinct minor
     is evaluated once, in one table per call, and the enumeration offers
     make_witness the witness of each entry <= 0 in turn (_sign_hits), so a
     table entry that rounding put at or below 0 does not hide a later one
@@ -368,11 +369,7 @@ def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
     if small:
         nonpositive = _sign_minors(pair) <= 0.0
     for tried, s12_sign in ((1, 1.0), (2, -1.0)):
-        if small:
-            hit = nonpositive[_sign_plan(n).extremes[tried - 1]].any()
-        else:
-            hit = _image_minor(pair, 1.0, s12_sign) is not None
-        if hit:
+        if not small or nonpositive[_sign_plan(n).extremes[tried - 1]].any():
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
             witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
             if witness is not None:

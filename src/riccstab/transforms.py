@@ -31,9 +31,7 @@ class ScalingPair:
 
     def __post_init__(self):
         d = as_vector(self.d)
-        e = as_vector(self.e, d.size)
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ContractError("scaling entries must be finite")
+        e = as_vector(self.e, d.size)  # as_vector refuses non-finite entries
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
 

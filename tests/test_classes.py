@@ -1,9 +1,11 @@
 """Structural classification and closed-form stability conditions."""
 
+import json
+
 import numpy as np
 import pytest
 
-from riccstab import acceptance, classes
+from riccstab import acceptance, classes, cli
 from riccstab.classes import (
     CHAIN_3X3,
     FAN_IN_3X3,
@@ -13,6 +15,7 @@ from riccstab.classes import (
     SUPERDIAG_B,
     TRIDIAG_SIGN_SYM,
     UNSTRUCTURED,
+    ClassTag,
     Stability,
     chain_feedback_condition,
     classify,
@@ -78,6 +81,37 @@ def test_classify_remaining_tags():
     b[0, 1], b[1, 2] = 0.4, -0.3
     superdiag = MatrixPair(a, b)
     assert classify(superdiag).name == SUPERDIAG_B
+
+
+def hurwitz_stability(a):
+    """The tri-state Hurwitz test that the Hurwitz class verdicts run."""
+    return classes._hurwitz_verdict(ClassTag(METZLER_NONNEG), np.asarray(a, dtype=float)).stable
+
+
+def test_hurwitz_verdict_examples():
+    assert hurwitz_stability(-np.eye(4)) is Stability.STABLE
+    assert hurwitz_stability([[0.0, 1.0], [-1.0, -1.0]]) is Stability.STABLE
+    assert hurwitz_stability([[1.0]]) is Stability.NOT_STABLE
+    assert hurwitz_stability([[0.0, 1.0], [-1.0, 0.0]]) is Stability.MARGINAL
+
+
+def test_hurwitz_verdict_nonnormal_case():
+    assert hurwitz_stability([[-1.0, 10.0], [0.0, -1.0]]) is Stability.STABLE
+
+
+def test_hurwitz_verdict_against_eigenvalue_oracle():
+    rng = np.random.default_rng(17)
+    checked = 0
+    while checked < 500:
+        n = int(rng.integers(1, 7))
+        a = rng.uniform(-2.0, 2.0, (n, n))
+        mu = float(np.max(np.linalg.eigvals(a).real))
+        if abs(mu) < 1e-6:
+            continue
+        checked += 1
+        expected = Stability.STABLE if mu < 0.0 else Stability.NOT_STABLE
+        for scale in (1.0, 1e-6, 1e6):
+            assert hurwitz_stability(scale * a) is expected
 
 
 def test_metzler_condition_examples():
@@ -274,6 +308,77 @@ def test_fan_in_condition_examples():
 
     zero_b = fan_in_feedback_condition(fan_in_pair((-1.0, -2.0, -3.0), (2.0, -2.0), (0.0, 0.0)))
     assert zero_b.stable is Stability.STABLE
+
+
+def test_feedback_conditions_decide_pairs_classify_tags_otherwise():
+    # a nonnegative feedback loop is MetzlerNonneg to classify, and a chain
+    # without its first coupling, also a fan-in, is LastRowForm; each
+    # condition matches its own shape, not the tag
+    metzler_chain = chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 0.1))
+    metzler_fan_in = fan_in_pair((-1.0, -1.0, -3.0), (1.0, 1.0), (1.0, 1.0))
+    assert classify(metzler_chain).name == classify(metzler_fan_in).name == METZLER_NONNEG
+    assert chain_feedback_condition(metzler_chain).tag.name == CHAIN_3X3
+    assert fan_in_feedback_condition(metzler_fan_in).tag.name == FAN_IN_3X3
+    both = chain_pair((-1.0, -1.0, -1.0), (0.0, -1.0), (0.1, -0.1))
+    assert classify(both).name == LAST_ROW_FORM
+    chain, fan_in = chain_feedback_condition(both), fan_in_feedback_condition(both)
+    assert (chain.tag.params, chain.stable) == (fan_in.tag.params, fan_in.stable)
+    assert fan_in.tag.name == FAN_IN_3X3
+
+
+def _last_row_pair():
+    a = np.diag([-1.0, -1.0, -2.0])
+    a[2, :2] = (-1.0, 2.0)
+    return a
+
+
+ONE_PAIR_PER_TAG = {
+    METZLER_NONNEG: MatrixPair([[-2.0, 1.0], [0.0, -2.0]], [[0.0, 0.0], [1.0, 0.0]]),
+    METZLER_RANK_ONE_ROW: MatrixPair(np.diag([-2.0, -2.0]), [[1.0, -1.0], [0.0, 0.0]]),
+    TRIDIAG_SIGN_SYM: MatrixPair([[-3.0, -1.0], [-1.0, -3.0]], [[0.0, 0.5], [0.0, 0.0]]),
+    LAST_ROW_FORM: MatrixPair(_last_row_pair(), np.zeros((3, 3))),
+    SUPERDIAG_B: MatrixPair(_last_row_pair(), [[0.0, 0.4, 0.0], [0.0, 0.0, -0.3], [0.0, 0.0, 0.0]]),
+    CHAIN_3X3: chain_pair((-1.0, -1.0, -1.0), (-1.0, 1.0), (0.1, 0.1)),
+    FAN_IN_3X3: fan_in_pair((-1.0, -1.0, -3.0), (-1.0, 1.0), (1.0, 1.0)),
+    UNSTRUCTURED: MatrixPair([[-3.0, 0.4], [-0.3, -2.5]], [[0.1, -0.1], [0.0, 0.1]]),
+}
+
+
+def _counting_classify(monkeypatch):
+    calls = []
+    original = classes.classify
+
+    def counting(pair):
+        calls.append(pair)
+        return original(pair)
+
+    monkeypatch.setattr(classes, "classify", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PAIR_PER_TAG))
+def test_evaluate_class_classifies_once(monkeypatch, name):
+    pair = ONE_PAIR_PER_TAG[name]
+    tag = classify(pair)
+    assert tag.name == name
+    calls = _counting_classify(monkeypatch)
+    if name == UNSTRUCTURED:
+        with pytest.raises(ClassMismatchError):
+            evaluate_class(pair)
+    else:
+        assert evaluate_class(pair).tag == tag
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PAIR_PER_TAG))
+def test_cli_classify_classifies_once(monkeypatch, tmp_path, capsys, name):
+    pair = ONE_PAIR_PER_TAG[name]
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({"A": pair.a.tolist(), "B": pair.b.tolist()}))
+    calls = _counting_classify(monkeypatch)
+    assert cli.main(["classify", str(problem)]) in (cli.EXIT_OK, cli.EXIT_UNDECIDED)
+    assert json.loads(capsys.readouterr().out)["tag"]["name"] == name
+    assert len(calls) == 1
 
 
 def test_correlation_bound_examples():

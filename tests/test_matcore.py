@@ -1,6 +1,6 @@
 """Core matrix helpers: sign envelopes, the block form's reported margin
-against a Jacobi reference, the Cholesky definiteness proof against an
-exact oracle, and the abscissa-based Hurwitz test."""
+against a Jacobi reference, and the Cholesky definiteness proof against an
+exact oracle."""
 
 from fractions import Fraction
 
@@ -9,13 +9,10 @@ import pytest
 
 from riccstab.errors import ContractError
 from riccstab.matcore import (
-    HurwitzResult,
-    hurwitz_band,
     is_metzler,
     is_nonnegative,
     proves_negative_definite,
     sign_envelopes,
-    spectral_abscissa,
 )
 from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal, verify_certificate
 
@@ -218,34 +215,3 @@ def test_proof_rejects_semidefinite_and_indefinite():
     assert proves_negative_definite(np.zeros((2, 2)), -1.0)  # 0 < I
     with pytest.raises(ContractError):
         proves_negative_definite([[-1.0, 10.0], [0.0, -1.0]])
-
-
-def hurwitz_verdict(a):
-    """The Hurwitz test as the class verdicts run it."""
-    return hurwitz_band(spectral_abscissa(a), a)
-
-
-def test_is_hurwitz_examples():
-    assert hurwitz_verdict(-np.eye(4)) is HurwitzResult.HURWITZ
-    assert hurwitz_verdict([[0.0, 1.0], [-1.0, -1.0]]) is HurwitzResult.HURWITZ
-    assert hurwitz_verdict([[1.0]]) is HurwitzResult.NOT_HURWITZ
-    assert hurwitz_verdict([[0.0, 1.0], [-1.0, 0.0]]) is HurwitzResult.MARGINAL
-
-
-def test_is_hurwitz_nonnormal_case():
-    assert hurwitz_verdict([[-1.0, 10.0], [0.0, -1.0]]) is HurwitzResult.HURWITZ
-
-
-def test_is_hurwitz_against_eigenvalue_oracle():
-    rng = np.random.default_rng(17)
-    checked = 0
-    while checked < 500:
-        n = int(rng.integers(1, 7))
-        a = rng.uniform(-2.0, 2.0, (n, n))
-        mu = float(np.max(np.linalg.eigvals(a).real))
-        if abs(mu) < 1e-6:
-            continue
-        checked += 1
-        expected = HurwitzResult.HURWITZ if mu < 0.0 else HurwitzResult.NOT_HURWITZ
-        for scale in (1.0, 1e-6, 1e6):
-            assert hurwitz_verdict(scale * a) is expected

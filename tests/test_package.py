@@ -1,6 +1,6 @@
 """The package's public surface: __all__ is exactly the pinned names, each
-resolves, once; and no module of the package imports a name it does not
-use."""
+resolves, once, and has a docstring; and no module of the package imports
+a name it does not use."""
 
 import ast
 from pathlib import Path
@@ -63,6 +63,12 @@ def test_every_public_name_resolves_once():
     namespace = {}
     exec("from riccstab import *", namespace)  # raises on a name the package lacks
     assert set(riccstab.__all__) <= set(namespace)
+
+
+def test_every_public_name_has_a_docstring():
+    """Its own docstring: inspect.getdoc would hand a class one of a base."""
+    missing = [name for name in riccstab.__all__ if not (getattr(riccstab, name).__doc__ or "").strip()]
+    assert missing == []
 
 
 def test_no_module_imports_a_name_it_does_not_use():

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from riccstab import matcore, riccati
+from riccstab import matcore, pmatrix, riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import BlockSymmetric
 from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor, stacked_minors
@@ -574,9 +574,9 @@ def _counting_calls(monkeypatch, module, names):
     for name in names:
         original = getattr(module, name)
 
-        def counting(*args, _name=name, _original=original):
+        def counting(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
-            return _original(*args)
+            return _original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counting)
     return calls
@@ -591,6 +591,21 @@ def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
     witness, tried = refute(MatrixPair([[-1.0]], [[2.0]]))
     assert witness is not None and tried == 1
     assert calls == ["make_witness", "_image_minor"]  # every check, on the hit alone
+
+
+def test_extremes_above_the_sign_enumeration_walk_once_each(monkeypatch):
+    # above SIGN_ENUM_MAX_N each extreme goes to make_witness directly: its
+    # walk is the test, and the spectrum is taken only for an image that fails
+    n = riccati.SIGN_ENUM_MAX_N + 2
+    walks = _counting_calls(monkeypatch, pmatrix, ("is_p_matrix",))
+    spectra = _counting_calls(monkeypatch, np.linalg, ("eigvalsh",))
+    witness, tried = refute(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # image of the + extreme is -I
+    assert witness is not None and tried == 1
+    assert (len(walks), len(spectra)) == (1, 1)
+    walks.clear()
+    spectra.clear()
+    assert refute(MatrixPair(-2.0 * np.eye(n), 0.1 * np.eye(n))) == (None, 2)
+    assert (len(walks), len(spectra)) == (2, 0)
 
 
 # the README pair (one Newton step) and a 3x3 base that unit weights certify

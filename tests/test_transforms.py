@@ -55,6 +55,14 @@ def test_dad_signature_involution_exact():
     assert np.array_equal(twice.b, pair.b)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_scaling_pair_refuses_non_finite_entries(bad):
+    with pytest.raises(ContractError, match="finite"):
+        ScalingPair([1.0, bad], [1.0, 1.0])
+    with pytest.raises(ContractError, match="finite"):
+        ScalingPair([1.0, 1.0], [bad, 1.0])
+
+
 def test_dad_rejects_expanding_e():
     with pytest.raises(ContractError):
         dad_transform(SCALAR_PAIR, ScalingPair([1.0], [2.0]))
