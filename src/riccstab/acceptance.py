@@ -147,26 +147,22 @@ def positive_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     return entry
 
 
-def _chain_instance(rng) -> MatrixPair:
-    a = rng.uniform(-3.0, 0.5, 3)
-    c = rng.uniform(-3.0, 3.0, 2)
-    b = rng.uniform(-3.0, 3.0, 2)
-    amat = np.array([[a[0], 0.0, 0.0], [c[0], a[1], 0.0], [0.0, c[1], a[2]]])
+def _feedback_instance(rng, row: int) -> MatrixPair:
+    """A 3x3 feedback pair: diagonal A coupled at a[row, 0] and a[2, 1], and
+    B feeding state 2 back into states 0 and 1 (row 1: chain, row 2: fan-in)."""
+    amat = np.diag(rng.uniform(-3.0, 0.5, 3))
+    amat[row, 0], amat[2, 1] = rng.uniform(-3.0, 3.0, 2)
     bmat = np.zeros((3, 3))
-    bmat[0, 2] = b[0]
-    bmat[1, 2] = b[1]
+    bmat[:2, 2] = rng.uniform(-3.0, 3.0, 2)
     return MatrixPair(amat, bmat)
+
+
+def _chain_instance(rng) -> MatrixPair:
+    return _feedback_instance(rng, 1)
 
 
 def _fan_in_instance(rng) -> MatrixPair:
-    a = rng.uniform(-3.0, 0.5, 3)
-    c = rng.uniform(-3.0, 3.0, 2)
-    b = rng.uniform(-3.0, 3.0, 2)
-    amat = np.array([[a[0], 0.0, 0.0], [0.0, a[1], 0.0], [c[0], c[1], a[2]]])
-    bmat = np.zeros((3, 3))
-    bmat[0, 2] = b[0]
-    bmat[1, 2] = b[1]
-    return MatrixPair(amat, bmat)
+    return _feedback_instance(rng, 2)
 
 
 def three_by_three_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
@@ -500,10 +496,6 @@ class SelftestResult:
     timings: dict
     first_json: str
     second_json: str
-
-    @property
-    def deterministic(self) -> bool:
-        return self.first_json == self.second_json
 
 
 def selftest(seed: int = 0) -> SelftestResult:

@@ -11,7 +11,9 @@ live subsets as one stack: n batched rank-one updates and O(2^n) scalar
 work for the 2^n - 1 minors. The updates do not pivot, so a running bound
 on their rounding error decides which pivots the walk may read; a minor
 whose pivot it may not is taken from its submatrix. The walk is still
-exponential, so inputs are capped at n = 14.
+exponential, so inputs are capped at n = 14. Only the signs of the minors
+are tested, and c * M and D M D share those with M (c > 0, D positive
+diagonal), as the P-property asks.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import ContractError, SizeGuardError
 from .matcore import as_positive_vector, as_square
 
 MAX_P_SIZE = 14
-MINOR_BAND = 1e-12
 PIVOT_TRUST = 2.0**-10  # largest error bound, relative to its pivot, at which the walk reads a pivot
 _EPS = 2.0**-53  # unit roundoff
 _HUGE = 2.0**900  # pivots are clamped here, so that one that overflowed never counts as read
@@ -36,16 +37,13 @@ class PMatrixReport:
     """Outcome of a P-matrix test.
 
     failing_subset holds 0-based row/column indices of the first principal
-    minor that is not clearly positive (empty tuple when the matrix is P).
-    marginal is set when that minor is positive but below the scaled
-    positivity band, so the verdict is a boundary call rather than a clean
-    sign violation.
+    minor that is not strictly positive (empty tuple when the matrix is P),
+    and failing_minor its determinant.
     """
 
     is_p: bool
     failing_subset: tuple[int, ...] = ()
     failing_minor: float | None = None
-    marginal: bool = False
 
 
 def stacked_minors(stack: np.ndarray) -> np.ndarray:
@@ -59,57 +57,52 @@ def stacked_minors(stack: np.ndarray) -> np.ndarray:
     return np.linalg.det(stack)
 
 
-def is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
-    """Test all principal minors of a square matrix for positivity.
+def is_p_matrix(m, band: float = 0.0) -> PMatrixReport:
+    """Test all principal minors of a square matrix for strict positivity.
 
-    A minor counts as positive only when it exceeds band * scale, where scale
-    is the product of row maxima of the submatrix (a crude determinant
-    magnitude estimate). Minors in (0, band * scale] fail with the marginal
-    flag; pass band=0.0 to accept any positive minor. Subsets are ranked by
-    size, then lexicographically, and the first failure is reported with its
-    det value (stacked_minors of the submatrix; +-inf with the minor's sign,
-    never NaN, when it is beyond the float range) and marginal set from the
-    sign the walk gave that minor, which holds where the det underflows.
+    Subsets are ranked by size, then lexicographically, and the first minor
+    <= 0 is reported with its det value (stacked_minors of the submatrix;
+    +-inf with the minor's sign, never NaN, when it is beyond the float
+    range). band must be 0.0: any other value, NaN included, is refused.
 
     The diagonal is tested first, every other minor by the walk of the module
     docstring on M, scaled up by a power of two when its largest entry is
-    below 1. The band test compares sum of log pivots minus sum of log row
-    maxima with log band (band=0: the sign of the pivot), so no minor or
-    scale under- or overflows and c * M gets M's verdict however small or
-    large c is. A pivot is read only when a bound on its rounding error is
-    at most PIVOT_TRUST times its size; the minor of any other pivot (one
-    lost to cancellation, or not finite), and every minor grown from it, is
-    taken from its submatrix, as the per-minor walk would.
+    below 1. The walk reads signs only, of pivots and of minors taken from
+    submatrices scaled by powers of two, so no minor under- or overflows
+    and c * M gets M's verdict however small or large c is. A pivot is read
+    only when a bound on its rounding error is at most PIVOT_TRUST times its
+    size; the minor of any other pivot (one lost to cancellation, or not
+    finite), and every minor grown from it, is taken from its submatrix, as
+    the per-minor walk would.
     """
     a = as_square(m)
     n = a.shape[0]
     if n > MAX_P_SIZE:
         raise SizeGuardError(f"P-matrix enumeration capped at n={MAX_P_SIZE}, got {n}")
-    if not 0.0 <= band < 1.0:
-        raise ContractError(f"minor band must be in [0, 1), got {band}")
+    if band != 0.0:
+        raise ContractError(f"minors are tested for strict positivity: band must be 0.0, got {band}")
     d = a.diagonal()
-    if d.min() <= 0.0:  # the 1 x 1 minors come first, and fail below any band < 1 only when <= 0
-        subset, positive = np.flatnonzero(d <= 0.0)[:1], False
+    if d.min() <= 0.0:  # the 1 x 1 minors come first
+        subset = np.flatnonzero(d <= 0.0)[:1]
     else:
         top = float(np.abs(a).max())
         shift = max(1 - math.frexp(top)[1], 0)  # up only: exact, as no entry can underflow
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # the walk checks finiteness
-            found = _first_failing_subset(np.ldexp(a, shift), band, math.ldexp(top, shift))
-        if found is None:
+            subset = _first_failing_subset(np.ldexp(a, shift), math.ldexp(top, shift))
+        if subset is None:
             return PMatrixReport(is_p=True)
-        subset, positive = found
     sub = a[subset[:, None], subset]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         minor = float(stacked_minors(sub))
         if not math.isfinite(minor):  # beyond the float range, or inf - inf: +-inf with the sign of the minor
             sign, log_abs_det = _signed_log_dets(sub[None])
             minor = float(sign[0] * np.exp(log_abs_det[0]))
-    return PMatrixReport(False, tuple(subset.tolist()), minor, marginal=positive)
+    return PMatrixReport(False, tuple(subset.tolist()), minor)
 
 
-def _first_failing_subset(a: np.ndarray, band: float, top: float) -> tuple[np.ndarray, bool] | None:
+def _first_failing_subset(a: np.ndarray, top: float) -> np.ndarray | None:
     """Indices of the first subset, by size then lexicographically, whose minor
-    fails, and whether that minor is positive (so failed the band only).
+    is <= 0, or None when there is none.
 
     A subset of size s is keyed by s * 2^n minus the sum of 2^(n-1-i) over
     its indices i, so keys order subsets by size, then lexicographically.
@@ -133,8 +126,8 @@ def _first_failing_subset(a: np.ndarray, band: float, top: float) -> tuple[np.nd
     So after k steps every entry of the complement is within
     k * 4u * top * (1 + 4 PIVOT_TRUST)^k * growth[r] of its exact value, and
     the walk reads a pivot only when that is at most PIVOT_TRUST * |pivot|.
-    The minor of any other pivot is taken from its submatrix by
-    _signed_log_minors, and so is every minor grown from it (growth inf).
+    The sign of any other pivot's minor is taken from its submatrix by
+    _minor_signs, and so is that of every minor grown from it (growth inf).
     The row of the empty subset holds entries of a itself: its pivots, the
     diagonal, are exact and known to be positive.
     """
@@ -143,49 +136,26 @@ def _first_failing_subset(a: np.ndarray, band: float, top: float) -> tuple[np.nd
     stack, keys, growth = a[:, :, None], np.zeros(1, dtype=np.int64), np.ones(1)
     unit_error = 4.0 * _EPS * top
     first = bound = None
-    if band:
-        log_band = np.log(band)
-        bits = full >> np.arange(1, n + 1)
-        log_abs = np.log(np.abs(a))  # log 0 = -inf never sets a row maximum
-        log_det = np.zeros(1)
-        log_rowmax = np.full((n, 1), -np.inf)  # column r: max log|a_ij| over j in alpha, each row i
     for k in range(n):
         step = full - (full >> (k + 1))  # key of alpha + {k} minus key of alpha
         pivots = stack[0, 0]
         child_keys = keys + step
-        if band:
-            child_log_det = log_det + np.log(pivots)
-            child_rowmax = np.maximum(log_rowmax, log_abs[:, k, None])
         unsure = None
-        if k:  # at k = 0 the pivots are the diagonal: positive, exact and above the band
+        if k:  # at k = 0 the pivots are the diagonal: positive and exact
             limit = PIVOT_TRUST / (k * unit_error * (1.0 + 4.0 * PIVOT_TRUST) ** k)
-            good = limit * np.minimum(pivots, _HUGE) >= growth  # positive and read; False for NaN
-            if band:
-                members = (bits[: k + 1, None] & -child_keys) != 0
-                log_scale = np.where(members, child_rowmax[: k + 1], 0.0).sum(axis=0)
-                ok = child_log_det - log_scale > log_band  # False for a NaN log (pivot < 0)
-                good &= ok
-            else:
-                ok = good
-            if not good.all():
-                if not band:
-                    ok = pivots > 0.0
-                positive = pivots > 0.0
+            ok = limit * np.minimum(pivots, _HUGE) >= growth  # positive and read; False for NaN
+            if not ok.all():
+                ok = pivots > 0.0
                 sure = growth <= limit * np.minimum(np.abs(pivots), _HUGE)
                 sure[0] |= keys[0] == 0  # alpha empty: the pivot is a diagonal entry, exact and positive
                 if not sure.all():
                     unsure = np.flatnonzero(~sure)
-                    sign, log_abs_det = _signed_log_minors(a, child_keys[unsure])
-                    positive[unsure] = sign > 0.0
-                    ok[unsure] = sign > 0.0
-                    if band:
-                        ok[unsure] &= log_abs_det - log_scale[unsure] > log_band
-                        child_log_det[unsure] = log_abs_det
+                    ok[unsure] = _minor_signs(a, child_keys[unsure]) > 0.0
                 if not ok.all():
                     failed = np.flatnonzero(~ok)
                     r = failed[child_keys[failed].argmin()]
                     if first is None or child_keys[r] < first:
-                        first, bound, first_positive = child_keys[r], child_keys[r] - step, bool(positive[r])
+                        first, bound = child_keys[r], child_keys[r] - step
         if k == n - 1:
             break
         column = stack[1:, 0] / pivots
@@ -197,18 +167,13 @@ def _first_failing_subset(a: np.ndarray, band: float, top: float) -> tuple[np.nd
         stack = np.concatenate((stack[1:, 1:], grown), axis=2)
         keys = np.concatenate((keys, child_keys))
         growth = np.concatenate((growth, child_growth))
-        if band:
-            log_det = np.concatenate((log_det, child_log_det))
-            log_rowmax = np.concatenate((log_rowmax, child_rowmax), axis=1)
         if first is not None:
             live = keys < bound
             live[len(ok) :] &= ok
             stack, keys, growth = stack[:, :, live], keys[live], growth[live]
-            if band:
-                log_det, log_rowmax = log_det[live], log_rowmax[:, live]
             if not keys.size:
                 break
-    return None if first is None else (_indices(first, n), first_positive)
+    return None if first is None else _indices(first, n)
 
 
 def _indices(key: int, n: int) -> np.ndarray:
@@ -216,18 +181,18 @@ def _indices(key: int, n: int) -> np.ndarray:
     return np.array([i for i in range(n) if -int(key) >> (n - 1 - i) & 1])
 
 
-def _signed_log_minors(a: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sign and log |det| of the submatrices of a on the subsets with these
-    keys, by _signed_log_dets, one call per subset size."""
+def _minor_signs(a: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Signs of the minors of a on the subsets with these keys, by
+    _signed_log_dets, one call per subset size."""
     n = a.shape[0]
     members = ((1 << n) >> np.arange(1, n + 1) & -keys[:, None]) != 0
     sizes = members.sum(axis=1)
-    sign, log_abs_det = np.empty(len(keys)), np.empty(len(keys))
+    sign = np.empty(len(keys))
     for s in np.unique(sizes):
         rows = np.flatnonzero(sizes == s)
         idx = np.nonzero(members[rows])[1].reshape(-1, s)
-        sign[rows], log_abs_det[rows] = _signed_log_dets(a[idx[:, :, None], idx[:, None, :]])
-    return sign, log_abs_det
+        sign[rows] = _signed_log_dets(a[idx[:, :, None], idx[:, None, :]])[0]
+    return sign
 
 
 def _signed_log_dets(subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,13 +223,13 @@ def _signed_log_dets(subs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def nonpositive_minor(m) -> PMatrixReport | None:
     """The first principal minor <= 0 among those affordable at any size, or None.
 
-    Up to MAX_P_SIZE: the walk of is_p_matrix with band=0. Above it: the
-    diagonal entries, then the full determinant with its sign from slogdet
-    (det = sign * exp(logdet) underflows to 0.0 for large n).
+    Up to MAX_P_SIZE: the walk of is_p_matrix, all 2^n - 1 minors. Above it:
+    the diagonal entries, then the full determinant with its sign from
+    slogdet (det = sign * exp(logdet) underflows to 0.0 for large n).
     """
     a = as_square(m)
     if a.shape[0] <= MAX_P_SIZE:
-        report = is_p_matrix(a, band=0.0)
+        report = is_p_matrix(a)
         return None if report.is_p else report
     bad = np.flatnonzero(np.diag(a) <= 0.0)
     if bad.size:

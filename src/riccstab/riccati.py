@@ -227,12 +227,11 @@ def make_witness(pair: MatrixPair, s: BlockSymmetric) -> CorrelationWitness | No
     """Validate a candidate witness matrix; None when it does not qualify.
 
     Qualification: both diagonal blocks of S exactly unit within 1e-12, the
-    image -(A o S11 + B o S12) has a principal minor <= 0 (strict failure,
-    no marginal-band refutations; see _image_minor), and S PSD within
-    WITNESS_PSD_TOL (smallest LAPACK eigenvalue), tested in that order, so a
-    candidate whose image has no such minor costs no spectrum. S is
-    symmetric by type; one whose block size is not the pair's raises
-    ContractError.
+    image -(A o S11 + B o S12) has a principal minor <= 0 (see _image_minor),
+    and S PSD within WITNESS_PSD_TOL (smallest LAPACK eigenvalue), tested in
+    that order, so a candidate whose image has no such minor costs no
+    spectrum. S is symmetric by type; one whose block size is not the pair's
+    raises ContractError.
     """
     if s.n != pair.n:
         raise ContractError(f"witness must be {2 * pair.n} x {2 * pair.n}")

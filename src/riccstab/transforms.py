@@ -83,9 +83,9 @@ def _require_correlation_shape(s: BlockSymmetric) -> None:
         raise ContractError("diag(S11) and diag(S22) must agree")
 
 
-def _require_psd(s: BlockSymmetric, tol: float = PSD_INPUT_TOL) -> None:
+def _require_psd(s: BlockSymmetric) -> None:
     smallest = float(np.linalg.eigvalsh(s.full)[0])
-    if smallest < -tol:
+    if smallest < -PSD_INPUT_TOL:
         raise ContractError(f"S must be positive semidefinite, min eigenvalue {smallest:.3e}")
 
 

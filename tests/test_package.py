@@ -1,11 +1,13 @@
 """The package's public surface: __all__ is exactly the pinned names, each
-resolves, once, and has a docstring; and no module of the package imports
-a name it does not use."""
+resolves, once, and has a docstring; no module of the package imports a
+name it does not use; and every module-level constant is read."""
 
 import ast
 from pathlib import Path
 
 import riccstab
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # the public API, sorted: a name added to or dropped from __all__ shows up here
 PUBLIC_API = [
@@ -101,3 +103,24 @@ def test_no_module_imports_a_name_it_does_not_use():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     unused += [f"{where} {name}" for name, where in private.items() if name not in referenced]
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    """A module-level UPPER_CASE name of the package, leading underscores
+    aside, must be read, by name or as an attribute, somewhere in src/,
+    tests/ or perfbench/: a constant nothing reads is a leftover."""
+    constants = {}
+    for path in sorted(Path(riccstab.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+                constants |= {name: f"{path.name}:{node.lineno}" for name in names if name.lstrip("_").isupper()}
+    read = set()
+    for path in sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert [f"{where} {name}" for name, where in constants.items() if name not in read] == []

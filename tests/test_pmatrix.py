@@ -9,7 +9,6 @@ import pytest
 from riccstab.errors import ContractError, SizeGuardError
 from riccstab.pmatrix import (
     MAX_P_SIZE,
-    MINOR_BAND,
     PMatrixReport,
     dpd_conjugate,
     is_p_matrix,
@@ -28,18 +27,15 @@ def reference_minor(sub: np.ndarray) -> float:
     return float(np.linalg.det(sub))
 
 
-def reference_is_p_matrix(m, band: float = MINOR_BAND) -> PMatrixReport:
-    """The per-minor walk: one submatrix, one minor and one scale per subset."""
+def reference_is_p_matrix(m) -> PMatrixReport:
+    """The per-minor walk: one submatrix and one minor per subset."""
     a = np.asarray(m, dtype=float)
     n = a.shape[0]
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            sub = a[np.ix_(subset, subset)]
-            minor = reference_minor(sub)
-            if minor <= band * float(np.prod(np.abs(sub).max(axis=1))):
-                return PMatrixReport(
-                    is_p=False, failing_subset=subset, failing_minor=minor, marginal=minor > 0.0
-                )
+            minor = reference_minor(a[np.ix_(subset, subset)])
+            if minor <= 0.0:
+                return PMatrixReport(is_p=False, failing_subset=subset, failing_minor=minor)
     return PMatrixReport(is_p=True)
 
 
@@ -101,7 +97,7 @@ def test_non_p_matrices_have_sign_reversing_vector():
     while found < 25:
         n = int(rng.integers(2, 6))
         m = rng.standard_normal((n, n))
-        report = is_p_matrix(m, band=0.0)
+        report = is_p_matrix(m)
         if report.is_p:
             continue
         sub = m[np.ix_(report.failing_subset, report.failing_subset)]
@@ -125,15 +121,39 @@ def test_dpd_invariance_random():
         assert is_p_matrix(m).is_p == is_p_matrix(dpd_conjugate(m, d)).is_p
 
 
+def test_dpd_conjugate_keeps_the_verdict_of_a_near_singular_block():
+    """The minor of {0, 1} is about 1e-10, far below the product of the row
+    maxima, 1e3: M and D M D are both P."""
+    m = [[1.0, 1e3], [(1.0 - 1e-10) / 1e3, 1.0]]
+    assert is_p_matrix(m).is_p
+    assert is_p_matrix(dpd_conjugate(m, [1e3, 1.0])).is_p
+
+
+def test_dpd_invariance_near_singular_family():
+    """A block [[1, x], [(1 - delta) / x, 1]] with a tiny positive minor, in
+    I + 0.05 N(0, 1), conjugated by powers of two: D M D gets M's verdict,
+    P or not, however unbalanced the block."""
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(2000):
+        n = int(rng.integers(2, 7))
+        m = np.eye(n) + 0.05 * rng.standard_normal((n, n))
+        x, delta = 10.0 ** rng.uniform(-3, 3), 10.0 ** rng.uniform(-13, -9)
+        m[:2, :2] = [[1.0, x], [(1.0 - delta) / x, 1.0]]
+        d = 2.0 ** rng.integers(-10, 11, n)
+        verdicts.append((is_p_matrix(m).is_p, is_p_matrix(dpd_conjugate(m, d)).is_p))
+    assert sum(a != b for a, b in verdicts) == 0
+    assert {a for a, _ in verdicts} == {True, False}
+
+
 @pytest.mark.parametrize("scale", [1e-120, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e120])
 def test_minor_band_is_scale_invariant(scale):
-    """The band scales with the submatrix, so c * M gets M's verdict."""
+    """Only the signs of the minors are tested, so c * M gets M's verdict."""
     for m in (np.eye(3), [[2.0, -1.0], [-1.0, 2.0]]):
         report = is_p_matrix(scale * np.asarray(m))
         assert report.is_p, report
     report = is_p_matrix(scale * np.array([[1.0, 2.0], [2.0, 1.0]]))
     assert not report.is_p
-    assert not report.marginal
     assert report.failing_subset == (0, 1)
     assert report.failing_minor == pytest.approx(-3.0 * scale**2)
 
@@ -154,19 +174,18 @@ def test_scaled_matrix_gets_the_verdict_of_the_matrix(m, c):
     submatrix; a 2 x 2 one formed in closed form from entries that were only
     scaled up came out inf - inf. The reported minor keeps its sign and is
     never NaN."""
-    for band in (0.0, MINOR_BAND):
-        base = is_p_matrix(m, band=band)
-        report = is_p_matrix(c * np.asarray(m), band=band)
-        assert (report.is_p, report.failing_subset, report.marginal) == (base.is_p, base.failing_subset, base.marginal)
-        if not base.is_p:
-            assert not np.isnan(report.failing_minor)
-            assert np.sign(report.failing_minor) in (0.0, np.sign(base.failing_minor))  # 0.0: the det underflowed
-            if c > 1.0:
-                assert report.failing_minor == -np.inf
+    base = is_p_matrix(m)
+    report = is_p_matrix(c * np.asarray(m))
+    assert (report.is_p, report.failing_subset) == (base.is_p, base.failing_subset)
+    if not base.is_p:
+        assert not np.isnan(report.failing_minor)
+        assert np.sign(report.failing_minor) in (0.0, np.sign(base.failing_minor))  # 0.0: the det underflowed
+        if c > 1.0:
+            assert report.failing_minor == -np.inf
 
 
 def _reference_cases(rng, n):
-    """P, non-P, D M D-conjugated and near-band matrices of size n."""
+    """P, non-P, D M D-conjugated and near-singular matrices of size n."""
     yield rng.standard_normal((n, n)) + 2.0 * n * np.eye(n)
     yield rng.standard_normal((n, n))
     yield rng.standard_normal((n, n)) + 0.7 * n * np.eye(n)
@@ -184,11 +203,10 @@ def _reference_cases(rng, n):
 def test_stacked_walk_matches_per_minor_reference(n):
     rng = np.random.default_rng(100 + n)
     for m in _reference_cases(rng, n):
-        for band in (0.0, MINOR_BAND):
-            report = is_p_matrix(m, band=band)
-            expected = reference_is_p_matrix(m, band=band)
-            assert report == expected
-            assert repr(report.failing_minor) == repr(expected.failing_minor)
+        report = is_p_matrix(m)
+        expected = reference_is_p_matrix(m)
+        assert report == expected
+        assert repr(report.failing_minor) == repr(expected.failing_minor)
 
 
 def test_largest_p_walk_accepts_diagonally_dominant():
@@ -206,7 +224,6 @@ def test_largest_p_walk_reports_full_size_failure():
     m = dpd_conjugate((1.0 + t) * np.eye(n) - t * np.ones((n, n)), np.linspace(0.5, 2.0, n))
     report = is_p_matrix(m)
     assert not report.is_p
-    assert not report.marginal
     assert report.failing_subset == tuple(range(n))
     assert report.failing_minor < 0.0
 
@@ -220,7 +237,7 @@ def test_nonpositive_minor_is_the_strict_walk_up_to_the_cap():
     rng = np.random.default_rng(11)
     for n in (1, 3, 7, MAX_P_SIZE):
         for m in (np.eye(n) + 0.1 * rng.standard_normal((n, n)), rng.standard_normal((n, n))):
-            report = is_p_matrix(m, band=0.0)
+            report = is_p_matrix(m)
             assert nonpositive_minor(m) == (None if report.is_p else report)
 
 
@@ -253,17 +270,17 @@ def test_nonpositive_minor_sign_survives_determinant_range(n, c):
 @pytest.mark.parametrize("n, c", [(3, 1e-120), (MAX_P_SIZE, 1e-25), (MAX_P_SIZE, 1e-100)])
 def test_strict_walk_accepts_tiny_identity(n, c):
     # det of the k >= 3 minors rounds to 0.0; the pivots of the walk, scaled to unit size, do not
-    assert is_p_matrix(c * np.eye(n), band=0.0).is_p
+    assert is_p_matrix(c * np.eye(n)).is_p
     assert nonpositive_minor(c * np.eye(n)) is None
-    report = is_p_matrix(-c * np.eye(n), band=0.0)
+    report = is_p_matrix(-c * np.eye(n))
     assert report.failing_subset == (0,) and report.failing_minor == -c
 
 
 def test_strict_walk_reports_the_failing_determinant():
     t = 0.6  # (1 + t) I - t J: proper minors positive, determinant -0.512
     m = 1e-120 * ((1.0 + t) * np.eye(3) - t * np.ones((3, 3)))
-    report = is_p_matrix(m, band=0.0)
-    assert report.failing_subset == (0, 1, 2) and not report.marginal
+    report = is_p_matrix(m)
+    assert report.failing_subset == (0, 1, 2)
     assert report.failing_minor == np.linalg.det(m) == 0.0  # the det value, however it rounds
 
 
@@ -274,8 +291,8 @@ def test_pivot_that_is_not_finite_is_never_read_as_a_sign():
     those minors is taken from its submatrix: {0, 1} and {0, 2} (det 1
     each) and {0, 1, 2} (det -1.1)."""
     m = [[1e-310, 1.0, 1.0], [-1.0, 1.0, 3.0], [-1.0, 0.1, 1.0]]
-    for report in (is_p_matrix(m), is_p_matrix(m, band=0.0), nonpositive_minor(m)):
-        assert not report.is_p and not report.marginal
+    for report in (is_p_matrix(m), nonpositive_minor(m)):
+        assert not report.is_p
         assert report.failing_subset == (0, 1, 2)
         assert report.failing_minor == pytest.approx(-1.1)
 
@@ -314,7 +331,7 @@ def test_minors_grown_from_an_overflowing_pivot_are_taken_from_their_submatrices
     m = [[1e-310, -1.0, 0.0], [1e-300, 1e-100, 0.0], [1.0, 1e-200, 1e-200]]
     assert all(minor > 0 for minor in exact_minors(m))
     assert np.linalg.slogdet(m)[0] == 0.0
-    assert is_p_matrix(m, band=0.0).is_p
+    assert is_p_matrix(m).is_p
     assert nonpositive_minor(m) is None
 
 
@@ -336,17 +353,15 @@ def test_pivot_lost_to_cancellation_is_taken_from_its_submatrix(m):
     1 / m[0][0], and the pivot of {0, 1, 2} computed from it keeps no
     correct digit. The bound on its error exceeds it, so that minor is taken
     from its submatrix: the walk finds the exact first failure, and its
-    reports are the per-minor reference's at both bands."""
+    report is the per-minor reference's."""
     subsets = [s for size in (1, 2, 3) for s in combinations(range(3), size)]
     first = next((s for s, minor in zip(subsets, exact_minors(m)) if minor <= 0), ())
-    strict = is_p_matrix(m, band=0.0)
-    assert strict.failing_subset == first and strict.is_p == (first == ())
-    assert nonpositive_minor(m) == (None if strict.is_p else strict)
-    for band in (0.0, MINOR_BAND):
-        report = is_p_matrix(m, band=band)
-        expected = reference_is_p_matrix(m, band=band)
-        assert report == expected
-        assert repr(report.failing_minor) == repr(expected.failing_minor)
+    report = is_p_matrix(m)
+    assert report.failing_subset == first and report.is_p == (first == ())
+    assert nonpositive_minor(m) == (None if report.is_p else report)
+    expected = reference_is_p_matrix(m)
+    assert report == expected
+    assert repr(report.failing_minor) == repr(expected.failing_minor)
 
 
 def test_subnormal_minor_keeps_its_sign():
@@ -357,7 +372,7 @@ def test_subnormal_minor_keeps_its_sign():
     submatrix as it stands can get the sign wrong."""
     m = [[1e-310, 1.0, 0.0], [1e-310, 1e-100, 0.0], [0.0, 0.0, 1.0]]
     assert exact_minors(m)[3] < 0
-    for report in (is_p_matrix(m), is_p_matrix(m, band=0.0), nonpositive_minor(m)):
+    for report in (is_p_matrix(m), nonpositive_minor(m)):
         assert report == PMatrixReport(False, (0, 1), -1e-310)
 
 
@@ -365,9 +380,8 @@ def test_failure_found_later_in_the_walk_can_come_first():
     """The walk meets {1, 2} (index 2) before {0, 3} (index 3), but (0, 3)
     comes first in the order of the report."""
     m = [[1.0, 0.0, 0.0, 2.0], [0.0, 1.0, 2.0, 0.0], [0.0, 2.0, 1.0, 0.0], [2.0, 0.0, 0.0, 1.0]]
-    for band in (0.0, MINOR_BAND):
-        report = is_p_matrix(m, band=band)
-        assert report.failing_subset == (0, 3) and report.failing_minor == -3.0
+    report = is_p_matrix(m)
+    assert report.failing_subset == (0, 3) and report.failing_minor == -3.0
 
 
 def test_walk_scales_subnormal_input_to_unit_size():
@@ -376,46 +390,26 @@ def test_walk_scales_subnormal_input_to_unit_size():
     unscaled update would give the pivot 0.0 for {0, 1}."""
     c = 2.0**-1031
     m = np.array([[3.0 * c, c], [c, 2932031007403 * 2.0**-1074]])
-    assert is_p_matrix(m, band=0.0).is_p
+    assert is_p_matrix(m).is_p
     assert nonpositive_minor(m) is None
 
 
-def test_minor_below_the_band_is_marginal_where_its_determinant_underflows():
-    """The matrix above is P, but its minor {0, 1}, 1.1e-13 times its scale,
-    is below the default band; det of the submatrix underflows to 0.0, so the
-    marginal flag has to come from the sign the walk saw."""
-    c = 2.0**-1031
-    report = is_p_matrix([[3.0 * c, c], [c, 2932031007403 * 2.0**-1074]])
-    assert not report.is_p
-    assert report.failing_subset == (0, 1)
-    assert report.failing_minor == 0.0
-    assert report.marginal
-
-
-def test_minor_band_is_tested_where_minors_underflow():
-    """Each minor of a positive diagonal matrix equals its scale, however far
-    apart the entries are; here the full minor, 2.4e-359, and its scale are
-    below the float range, and their logs are not."""
+def test_strict_walk_accepts_minors_below_the_float_range():
+    """Every minor of a positive diagonal matrix is positive, however far
+    apart the entries are; here the full minor, 2.4e-359, is below the float
+    range, and the pivots of the walk are not."""
     m = np.diag([2.0, 3e-120, 4e-240])
     assert is_p_matrix(m) == PMatrixReport(is_p=True)
 
 
-def test_minor_band_scales_with_the_rows_of_the_submatrix():
-    """Row 0's entries of 1e-6 lie in columns 1 and 2 but enter the scale of
-    no minor of rows {1, 2}: that minor, 1e-13, is marginal."""
-    m = [[1.0, 1e-6, 1e-6], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0 + 1e-13]]
-    report = is_p_matrix(m)
-    assert report.failing_subset == (1, 2) and report.marginal
-
-
-@pytest.mark.parametrize("band", [-1e-12, 1.0, np.nan])
-def test_band_outside_zero_to_one_is_refused(band):
-    with pytest.raises(ContractError, match="band"):
+@pytest.mark.parametrize("band", [1e-12, -1e-12, 1.0, np.nan])
+def test_every_nonzero_band_is_refused(band):
+    assert is_p_matrix(np.eye(2), band=0.0).is_p
+    with pytest.raises(ContractError, match="strict positivity"):
         is_p_matrix(np.eye(2), band=band)
 
 
-@pytest.mark.parametrize("band", [0.0, MINOR_BAND])
-def test_largest_walk_evaluates_only_the_reported_minor(monkeypatch, band):
+def test_largest_walk_evaluates_only_the_reported_minor(monkeypatch):
     """The walk takes every minor from Schur pivots: a P-matrix of the largest
     size costs no determinant call, a failing one a single det call for the
     minor it reports."""
@@ -429,9 +423,9 @@ def test_largest_walk_evaluates_only_the_reported_minor(monkeypatch, band):
 
         monkeypatch.setattr(np.linalg, name, counting)
     n = MAX_P_SIZE
-    assert is_p_matrix(np.eye(n) + 0.01 * np.ones((n, n)), band=band).is_p
+    assert is_p_matrix(np.eye(n) + 0.01 * np.ones((n, n))).is_p
     assert calls == []
     t = 0.08  # (1 + t) I - t J: only the full minor is negative
-    report = is_p_matrix((1.0 + t) * np.eye(n) - t * np.ones((n, n)), band=band)
+    report = is_p_matrix((1.0 + t) * np.eye(n) - t * np.ones((n, n)))
     assert report.failing_subset == tuple(range(n))
     assert calls == [("det", (n, n))]
