@@ -89,10 +89,18 @@ def _single_nonzero_line(b: np.ndarray, axis: int) -> int | None:
     return int(lines[0]) if lines.size else 0
 
 
+@functools.lru_cache(maxsize=16)
+def _off_tridiagonal(n: int) -> np.ndarray:
+    """Read-only mask of the entries (i, j), |i - j| > 1, of an n x n matrix,
+    cached per n because classify tests every pair it is given."""
+    r = np.arange(n)
+    mask = np.abs(r[:, None] - r) > 1
+    mask.flags.writeable = False
+    return mask
+
+
 def _is_tridiagonal(a: np.ndarray) -> bool:
-    n = a.shape[0]
-    i, j = np.indices((n, n))
-    return bool(np.all(a[np.abs(i - j) > 1] == 0.0))
+    return not a[_off_tridiagonal(a.shape[0])].any()
 
 
 def _is_diag_plus_last_row(a: np.ndarray) -> bool:

@@ -57,7 +57,7 @@ def _build_parser() -> _Parser:
 
     add("check", "decide feasibility and emit the verdict with certificate or witness")
     add("classify", "structural class verdict; falls back to check on unstructured pairs")
-    add("refute", "search for a refutation witness only")
+    add("refute", "run the solver and emit its refutation witness only")
     add("transform", "apply the scaling from the problem file and map a certificate through it")
     add("simulate", "integrate the delay system and report decay for each delay")
     add("selftest", "run the randomized cross-validation battery twice", needs_file=False)
@@ -168,8 +168,7 @@ def _cmd_classify(data: dict, args) -> int:
 
 
 def _cmd_refute(data: dict, args) -> int:
-    _solve_options(data, args)  # refuses what check refuses, though refute reads none of it
-    witness, tried = refute(_problem_pair(data))
+    witness, tried = refute(_problem_pair(data), _solve_options(data, args))
     if witness is None:
         _emit_json({"samples_tried": tried, "witness": None}, args.out)
         return EXIT_UNDECIDED

@@ -12,7 +12,8 @@ Hessian come in O(n^3) from the blocks of X = (tI - F)^-1. After a
 centering the optimum lies within DEGREE_PER_N * n / kappa below t
 (Boyd, El Ghaoui, Feron & Balakrishnan, Linear Matrix Inequalities in
 System and Control Theory, SIAM 1994; Vandenberghe & Boyd, Semidefinite
-programming, SIAM Review 38, 1996). Deterministic: no random starts.
+programming, SIAM Review 38, 1996). Deterministic: no random starts. The
+result keeps the last X, which riccati offers as a refutation witness.
 
 The path starts at w = 1, t = lambda_max(F(1)) + 1 and
 kappa = KAPPA_GROWTH tr X. kappa = tr X would make the t-gradient of the
@@ -43,12 +44,15 @@ DEGREE_PER_N = 4  # barrier degree: 2n from log det, 2n from the log w terms
 
 class BarrierResult(NamedTuple):
     """Lowest-lambda point seen: p, q > 0 with sum 2n, lam = lambda_max(F(p, q)),
-    and the number of Newton steps taken."""
+    and the number of Newton steps taken; chol is the Cholesky factor L of
+    tI - F at the last iterate (the start when no step was taken), so that
+    L^-T L^-1 is its dual iterate X."""
 
     p: np.ndarray
     q: np.ndarray
     lam: float
     steps: int
+    chol: np.ndarray
 
 
 def _add_to_diagonal(m: np.ndarray, values) -> None:
@@ -76,6 +80,13 @@ def _chol(f: np.ndarray, t: float) -> np.ndarray | None:
         return None
 
 
+def _inverse(chol: np.ndarray) -> np.ndarray:
+    """X = (L L')^-1 = L^-T L^-1 from the Cholesky factor L, exactly symmetric."""
+    linv = np.linalg.inv(chol)
+    x = linv.T @ linv
+    return 0.5 * (x + x.T)
+
+
 def _barrier(kappa: float, t: float, w: np.ndarray, chol: np.ndarray) -> float:
     return kappa * t - 2.0 * float(np.log(chol.diagonal()).sum()) - float(np.log(w).sum())
 
@@ -83,9 +94,7 @@ def _barrier(kappa: float, t: float, w: np.ndarray, chol: np.ndarray) -> float:
 def _newton_system(v: np.ndarray, kappa: float, w: np.ndarray, chol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradient and Hessian of the barrier in (t, p, q), from the blocks of X."""
     n = v.shape[0]
-    linv = np.linalg.inv(chol)
-    x = linv.T @ linv
-    x = 0.5 * (x + x.T)
+    x = _inverse(chol)
     x11, x12, x22 = x[:n, :n], x[:n, n:], x[n:, n:]
     vx = v @ x
     l, m = vx[:, :n], vx[:, n:]
@@ -157,11 +166,11 @@ def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
     w = np.ones(2 * n)
     f = _block(v, w)
     lam = _lmax(f)
-    best = BarrierResult(w[:n], w[n:], lam, 0)
-    if lam <= stop:
-        return best
     t = lam + 1.0
     chol = _chol(f, t)
+    best = BarrierResult(w[:n], w[n:], lam, 0, chol)
+    if lam <= stop:
+        return best
     linv = np.linalg.inv(chol)
     kappa = KAPPA_GROWTH * float(np.sum(linv * linv))  # one growth step past tr (tI - F)^-1
     steps = 0
@@ -180,11 +189,11 @@ def minimize(a, b, stop: float, tol: float, max_iter: int) -> BarrierResult:
             steps += 1
             lam = _lmax(f)
             if lam < best.lam:
-                best = BarrierResult(w[:n], w[n:], lam, steps)
+                best = BarrierResult(w[:n], w[n:], lam, steps, chol)
             if lam <= stop:
-                return best._replace(steps=steps)
+                return best
         gap = DEGREE_PER_N * n / kappa
         if t - gap > -tol or gap < MIN_GAP:
             break
         kappa *= KAPPA_GROWTH
-    return best._replace(steps=steps)
+    return best._replace(steps=steps, chol=chol)

@@ -9,7 +9,9 @@ definite; certificates are built and checked in that block form alone.
 
 Infeasibility is certified through unit-diagonal positive semidefinite
 matrices S: if -(A o S11 + B o S12) fails to be a P-matrix for some such S
-(o is the entrywise product), no diagonal certificate can exist.
+(o is the entrywise product), no diagonal certificate can exist. The solver
+offers two kinds of S: the extremes ss', s = (1, +-1), and the barrier
+solver's last dual iterate (_dual_witness).
 
 All functions are pure and deterministic.
 """
@@ -20,12 +22,12 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import ContractError
-from .lmi import _block, minimize
+from .lmi import _block, _inverse, minimize
 from .matcore import BlockSymmetric, _proves_negative_definite, as_positive_vector, as_square
 from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
@@ -33,7 +35,7 @@ from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays impor
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
 WITNESS_PSD_TOL = 1e-10
-SIGN_ENUM_MAX_N = 6
+EXTREME_TABLE_MAX_N = 6  # up to this n the extremes' minors come from one table
 
 
 _UNITS = {1.0: 1.0, -1.0: -1.0}
@@ -121,12 +123,11 @@ class CorrelationWitness:
 class Verdict:
     """Solver outcome: Feasible with a certificate, Refuted with a witness,
     or Unknown with the best margin seen (negative when everything looked
-    infeasible). samples_tried counts the candidate witness matrices covered
-    up to the witness: a screen that finds none covers 2 + (5^n - 1) / 2 at
-    n <= 6 (the two extremes and the rank-one sign matrices, whose images
-    have 3^n - 1 distinct minors) and 2 above. It is 0 on a pair certified
-    at unit weights, for which the screen does not run, and the whole
-    screen's count on a pair the barrier certifies or leaves Unknown."""
+    infeasible). samples_tried counts the candidate witnesses up to the
+    verdict, in solve_diagonal's order: 0 on a pair certified at unit
+    weights, 1 or 2 when the extreme s = (1, +1) or (1, -1) refutes, 2 when
+    the barrier certifies, and 3 when the barrier's dual iterate refutes or
+    the verdict is Unknown."""
 
     status: str
     certificate: RiccatiCertificate | None = None
@@ -253,133 +254,62 @@ def _image_minor(pair: MatrixPair, s11, s12) -> PMatrixReport | None:
     return nonpositive_minor(image) if np.isfinite(image).all() else None
 
 
-@dataclass(frozen=True, eq=False)
-class _SignPlan:
-    """Index arrays of the rank-one sign screen at one n (see _sign_minors).
-
-    stacks holds, per subset size k, the row and column indices of every
-    k-subset, its 2^k sign patterns sigma in binary counter order and the
-    parity (-1)^k. The other fields run over the 3^n - 1 table entries, in
-    table order: the positions of sigma = +1 and sigma = -1 (the images of
-    the two extremes), the e of each entry's witness s = (1, e) (sigma on
-    the subset, 1 elsewhere), and the (d, e) candidates up to and including
-    each entry.
-    """
-
-    stacks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray, float], ...]
-    extremes: tuple[np.ndarray, np.ndarray]
-    e: np.ndarray
-    tried: np.ndarray
-
-
-@lru_cache(maxsize=SIGN_ENUM_MAX_N)
-def _sign_plan(n: int) -> _SignPlan:
-    stacks, plus, minus, es, tried = [], [], [], [], []
-    entries = candidates = 0
+@lru_cache(maxsize=EXTREME_TABLE_MAX_N)
+def _subset_stacks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
+    """Per subset size k = 1..n, the row and column indices of every
+    k-subset of range(n), lexicographic, and the parity (-1)^k."""
+    stacks = []
     for size in range(1, n + 1):
-        sigma = np.array(list(product((1.0, -1.0), repeat=size)))
         subsets = np.array(list(combinations(range(n), size)))
-        count, patterns = len(subsets), len(sigma)
-        stacks.append((subsets[:, None, :, None], subsets[:, None, None, :], sigma[:, None, :], -1.0 if size % 2 else 1.0))
-        starts = entries + patterns * np.arange(count)
-        plus.append(starts)
-        minus.append(starts + patterns - 1)
-        e = np.ones((count, patterns, n))
-        np.put_along_axis(e, np.broadcast_to(subsets[:, None, :], (count, patterns, size)), sigma[None], axis=2)
-        es.append(e.reshape(-1, n))
-        per_subset = patterns**2 // 2  # (d, e) pairs with d_0 = +1
-        tried.append(candidates + (per_subset * np.arange(count)[:, None] + np.arange(1, patterns + 1)).ravel())
-        entries += count * patterns
-        candidates += count * per_subset
-    plan = _SignPlan(tuple(stacks), (np.concatenate(plus), np.concatenate(minus)), np.concatenate(es), np.concatenate(tried))
-    for array in (*(a for stack in stacks for a in stack[:3]), *plan.extremes, plan.e, plan.tried):
-        array.flags.writeable = False  # shared by every caller through the cache
-    return plan
+        subsets.flags.writeable = False  # shared by every caller through the cache
+        stacks.append((subsets[:, :, None], subsets[:, None, :], -1.0 if size % 2 else 1.0))
+    return tuple(stacks)
 
 
-def _sign_minors(pair: MatrixPair) -> np.ndarray:
-    """The 3^n - 1 distinct principal minors of the rank-one sign witnesses'
-    images, n <= SIGN_ENUM_MAX_N, on the pair scaled by the power of two that
-    puts max(max|A|, max|B|) in [1/2, 1).
-
-    The image of S = s s', s = (d, e) in {+-1}^{2n}, is
-    -(A o dd' + B o de') = -D(A + B Sigma)D with Sigma = diag(d o e), so its
-    minor on a k-subset alpha is (-1)^k det(A_a + B_a Sigma_a): it depends
-    only on sigma = d o e on alpha. The table holds these, by size, then
-    subset (lexicographic), then sigma (binary counter order), one
-    stacked_minors call per size. The values are bit for bit those of the
-    minors written per (d, e), (-1)^k det(D_a) det(A_a D_a + B_a E_a):
-    flipping the signs of columns leaves the choices of LU with partial
-    pivoting alone and flips the signs of the columns of U. The scaling is
-    exact, so it changes no sign, and no minor of the scaled pair, at most
-    k! 2^k in size, can overflow; only terms far below the pair's own
-    scale can underflow.
+def _extreme_hits(pair: MatrixPair) -> np.ndarray:
+    """Whether -(A + B) and -(A - B), the images of the extremes
+    s = (1, +-1), have a principal minor <= 0, for n <= EXTREME_TABLE_MAX_N:
+    a table of all their minors, one stacked_minors call per subset size, on
+    the pair scaled by the power of two that puts max(max|A|, max|B|) in
+    [1/2, 1). The scaling is exact, so it changes no sign, and no minor of
+    the scaled pair, at most k! 2^k in size, can overflow; only terms far
+    below the pair's own scale can underflow.
     """
-    plan = _sign_plan(pair.n)
     shift = -math.frexp(max(np.abs(pair.a).max(), np.abs(pair.b).max()))[1]
     a, b = np.ldexp(pair.a, shift), np.ldexp(pair.b, shift)
-    return np.concatenate(
-        [parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma).ravel() for rows, cols, sigma, parity in plan.stacks]
-    )
+    images = np.stack([a + b, a - b])
+    hits = np.zeros(2, dtype=bool)
+    for rows, cols, parity in _subset_stacks(pair.n):
+        hits |= (parity * stacked_minors(images[:, rows, cols]) <= 0.0).any(axis=1)
+    return hits
 
 
-def _sign_hits(nonpositive: np.ndarray, n: int):
-    """The rank-one sign witnesses of the table entries <= 0, in table
-    order, each as a BlockSymmetric with the count of (d, e) candidates up
-    to its entry.
+def _dual_witness(chol: np.ndarray, n: int) -> BlockSymmetric:
+    """The barrier's last dual iterate as a candidate witness.
 
-    The count is that of the (d, e) candidates, d_0 = +1 (the global flip is
-    redundant): 2^(k-1) * 2^k per k-subset, (5^n - 1) / 2 in all. In their
-    order (subsets by size then lexicographic, then d, then e, both in
-    binary counter order) each violation is first met at d = 1, e = sigma.
-    Entries whose e agree share their witness, so only the first of them
-    is yielded.
+    Z = L^-T L^-1 = (tI - F)^-1 is positive definite. By the theorem of
+    alternatives (Boyd, El Ghaoui, Feron & Balakrishnan 1994, sec. 2.6) no
+    diagonal certificate exists iff some nonzero Z >= 0 has
+    (A Z11 + B Z21)_ii >= 0 and (Z11)_ii >= (Z22)_ii for every i, and the
+    iterate of a path that cannot certify comes close to one. S = D^-1 Z D^-1,
+    with D = diag(x, x) and x = sqrt(diag Z11) > 0, has its diagonal set to
+    exactly 1, which raises diag Z22 to diag Z11 and so keeps S PSD. Its image
+    M = -(A o S11 + B o S12) then has x_i (M x)_i = -(A Z11 + B Z21)_ii <= 0
+    for every i: M reverses the sign of x, so it is not a P-matrix
+    (Fiedler & Ptak 1962). make_witness decides whether S qualifies.
     """
-    plan = _sign_plan(n)
-    seen = set()
-    for hit in np.flatnonzero(nonpositive):
-        e = plan.e[hit]
-        key = e.tobytes()
-        if key not in seen:
-            seen.add(key)
-            s_vec = np.concatenate([np.ones(n), e])
-            yield BlockSymmetric(np.outer(s_vec, s_vec), n), int(plan.tried[hit])
+    z = _inverse(chol)
+    x = np.sqrt(np.tile(z.diagonal()[:n], 2))
+    s = z / np.outer(x, x)
+    np.fill_diagonal(s, 1.0)
+    return BlockSymmetric(s, n)
 
 
-def refute(pair: MatrixPair) -> tuple[CorrelationWitness | None, int]:
-    """Search for an infeasibility witness; returns (witness or None, tried).
-
-    The two structured extremes, then the rank-one sign enumeration. The
-    extremes S = ss' with s = (1, +-1) are exactly unit-diagonal and PSD,
-    and their image is -(A +- B). Up to n = SIGN_ENUM_MAX_N its minors are
-    those of sigma = +-1 in the table of _sign_minors, and make_witness,
-    which checks the candidate through its own walk, runs only on a hit; a
-    hit it refuses moves the screen on. Above it the screen is the extremes
-    alone, each offered to make_witness directly, whose one walk of
-    nonpositive_minor is the test. Up to SIGN_ENUM_MAX_N every distinct minor
-    is evaluated once, in one table per call, and the enumeration offers
-    make_witness the witness of each entry <= 0 in turn (_sign_hits), so a
-    table entry that rounding put at or below 0 does not hide a later one
-    that refutes. tried counts the candidates up to the witness, all
-    (5^n - 1) / 2 sign matrices of the enumeration included (see Verdict).
-    """
-    n = pair.n
-    small = n <= SIGN_ENUM_MAX_N
-    if small:
-        nonpositive = _sign_minors(pair) <= 0.0
-    for tried, s12_sign in ((1, 1.0), (2, -1.0)):
-        if not small or nonpositive[_sign_plan(n).extremes[tried - 1]].any():
-            s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
-            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
-            if witness is not None:
-                return witness, tried
-    if not small:
-        return None, 2
-    for s, enum_tried in _sign_hits(nonpositive, n):
-        witness = make_witness(pair, s)
-        if witness is not None:
-            return witness, 2 + enum_tried
-    return None, 2 + (5**n - 1) // 2
+def refute(pair: MatrixPair, options: SolveOptions | None = None) -> tuple[CorrelationWitness | None, int]:
+    """The witness and samples_tried of solve_diagonal(pair, options), as
+    (witness or None, tried); see Verdict."""
+    verdict = solve_diagonal(pair, options)
+    return verdict.witness, verdict.samples_tried
 
 
 def _certificate(pair: MatrixPair, p: np.ndarray, q: np.ndarray, margin_req: float) -> RiccatiCertificate | None:
@@ -392,36 +322,46 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     """Decide diagonal Riccati stability of a pair, with evidence.
 
     Pipeline, on the scaled pair (A, B)/s with s = max|A| + max|B|, whose
-    block form is that of (A, B) divided by s: first unit weights
-    P = Q = I, which certify when lambda_max of the scaled block reaches
-    stop_value(); then the deterministic refutation screen (certain when it
-    fires); then the barrier solver lmi.minimize, which minimizes
-    lambda_max of the block form over diagonal (P, Q) on the gauge
-    sum(p) + sum(q) = 2n. A point (p, q) maps back as (p, s q) and must
-    pass verify_certificate at margin tol * s before Feasible is returned,
-    so c (A, B) gets the verdict of (A, B). A pair certified at unit
-    weights skips the screen, which cannot refute it, and reports
-    samples_tried = 0. When the solver does not certify either, the verdict
-    is Unknown with the best margin found, in the pair's units, and the
-    screen's samples_tried. A = B = 0 (s = 0) goes straight to the screen,
-    which refutes it. So does a pair whose s is beyond the float range; it
-    raises ContractError when the screen finds no witness.
+    block form is that of (A, B) divided by s:
+    1. unit weights P = Q = I, which certify when lambda_max of the scaled
+       block reaches stop_value();
+    2. the two extremes S = ss', s = (1, +-1), exactly unit-diagonal and
+       PSD, whose images are -(A +- B). Up to n = EXTREME_TABLE_MAX_N one table
+       of their minors (_extreme_hits) decides which go to make_witness, which
+       checks a candidate through its own walk; above it each goes straight
+       to make_witness, whose one walk of nonpositive_minor is the test;
+    3. the barrier solver lmi.minimize, which minimizes lambda_max of the
+       block form over diagonal (P, Q) on the gauge sum(p) + sum(q) = 2n. A
+       point (p, q) maps back as (p, s q) and must pass verify_certificate
+       at margin tol * s before Feasible is returned, so c (A, B) gets the
+       verdict of (A, B);
+    4. the barrier's last dual iterate (_dual_witness), offered to
+       make_witness.
+    Otherwise the verdict is Unknown with the best margin found, in the
+    pair's units. A = B = 0 (s = 0) is refuted by the first extreme. A pair
+    whose s is beyond the float range raises ContractError when neither
+    extreme refutes it.
     """
     opts = options or SolveOptions()
+    n = pair.n
     with np.errstate(over="ignore"):
         s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
     # lambda_max of the scaled block at unit weights is at least its largest
     # diagonal entry, 2 max a_ii / s + 1: most pairs fail that test already
     if s > 0.0 and 2.0 * (float(pair.a.diagonal().max()) / s) + 1.0 <= opts.stop_value():
-        ones = np.ones(pair.n)
-        if float(np.linalg.eigvalsh(_block(np.hstack([pair.a, pair.b]) / s, np.ones(2 * pair.n)))[-1]) <= opts.stop_value():
+        ones = np.ones(n)
+        if float(np.linalg.eigvalsh(_block(np.hstack([pair.a, pair.b]) / s, np.ones(2 * n)))[-1]) <= opts.stop_value():
             cert = _certificate(pair, ones, s * ones, opts.tol * s)
             if cert is not None:
                 return Verdict.feasible(cert)
 
-    witness, screened = refute(pair)
-    if witness is not None:
-        return Verdict.refuted(witness, samples_tried=screened)
+    hits = _extreme_hits(pair) if n <= EXTREME_TABLE_MAX_N else (True, True)
+    for tried, sign, hit in zip((1, 2), (1.0, -1.0), hits):
+        if hit:
+            s_vec = np.concatenate([np.ones(n), np.full(n, sign)])
+            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
+            if witness is not None:
+                return Verdict.refuted(witness, samples_tried=tried)
     if not math.isfinite(s):
         raise ContractError(f"max|A| + max|B| exceeds the float range ({sys.float_info.max:.4g})")
 
@@ -429,5 +369,8 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     if found.lam <= -opts.tol:
         cert = _certificate(pair, found.p, s * found.q, opts.tol * s)
         if cert is not None:
-            return Verdict.feasible(cert, samples_tried=screened)
-    return Verdict.unknown(best_margin=-s * found.lam, samples_tried=screened)
+            return Verdict.feasible(cert, samples_tried=2)
+    witness = make_witness(pair, _dual_witness(found.chol, n))
+    if witness is not None:
+        return Verdict.refuted(witness, samples_tried=3)
+    return Verdict.unknown(best_margin=-s * found.lam, samples_tried=3)

@@ -211,6 +211,19 @@ def test_incompatible_last_row_pair_is_not_last_row_form():
     assert classify(MatrixPair(a, b)).name == LAST_ROW_FORM
 
 
+def test_tridiagonal_test_reads_only_the_entries_outside_the_band():
+    # tridiagonal iff np.triu(a, 2) and np.tril(a, -2) are all zero; -0.0 is zero
+    rng = np.random.default_rng(71)
+    for n in range(1, 9):
+        for _ in range(20):
+            a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+            a[rng.random((n, n)) < 0.3] = -0.0
+            if rng.random() < 0.5:
+                a = np.triu(np.tril(a, 1), -1)
+            expected = not (np.triu(a, 2).any() or np.tril(a, -2).any())
+            assert classes._is_tridiagonal(a) is expected
+
+
 def test_tridiagonal_signs_compare_where_their_product_underflows():
     # 1e-200 * -1e-200 rounds to -0.0; the signs still disagree
     a = np.array([[-1.0, -1e-200], [1e-200, -1.0]])

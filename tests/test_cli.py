@@ -13,7 +13,8 @@ from riccstab import acceptance
 from riccstab.acceptance import SelftestResult
 from riccstab.cli import main
 from riccstab.ddesim import decay_check
-from riccstab.riccati import MatrixPair, refute, solve_diagonal
+from riccstab.matcore import BlockSymmetric
+from riccstab.riccati import MatrixPair, make_witness, refute, solve_diagonal
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
 REFUTED = {"A": [[-1.0]], "B": [[2.0]]}
@@ -103,6 +104,40 @@ def test_refute_reports_the_screen_count_when_nothing_refutes(tmp_path, capsys):
     code, out, _ = run_main(capsys, ["refute", write(tmp_path, BOUNDARY)])
     assert code == 2
     assert json.loads(out) == {"samples_tried": screened, "witness": None}
+
+
+# neither extreme refutes it and the barrier cannot certify it: the dual iterate refutes
+REFUSED_HIT_PAIR = {
+    "A": [[-2.0, 2.0, -2.0, -1.0], [-4.0, -3.0, 2.0, -2.0], [1.0, 2.0, -4.0, 0.0], [0.0, 3.0, -3.0, -5.0]],
+    "B": [[1.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, -3.0], [0.0, -1.0, 0.0, -1.0]],
+}
+
+
+def test_refute_runs_the_solver(tmp_path, capsys):
+    code, out, _ = run_main(capsys, ["refute", write(tmp_path, REFUSED_HIT_PAIR)])
+    assert code == 0
+    report = json.loads(out)
+    assert report["samples_tried"] == 3
+    witness = BlockSymmetric(report["witness_S"], 4)
+    assert make_witness(MatrixPair(REFUSED_HIT_PAIR["A"], REFUSED_HIT_PAIR["B"]), witness) is not None
+    # a pair that unit weights certify gets no screen at all
+    code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE)])
+    assert code == 2
+    assert json.loads(out) == {"samples_tried": 0, "witness": None}
+    # the solver reads the options: the README pair needs one Newton step to
+    # be certified (2 tried); with none, the dual is offered too and refused
+    for flags, tried in (([], 2), (["--max-iter", "0"], 3)):
+        code, out, _ = run_main(capsys, ["refute", write(tmp_path, README_PAIR)] + flags)
+        assert code == 2
+        assert json.loads(out) == {"samples_tried": tried, "witness": None}
+
+
+def test_refute_beyond_the_float_range_exits_one_naming_it(tmp_path, capsys):
+    # max|A| + max|B| is beyond the float range and neither extreme refutes
+    code, out, err = run_main(capsys, ["refute", write(tmp_path, {"A": [[-1.5e308]], "B": [[7.5e307]]})])
+    assert code == 1
+    assert out == ""
+    assert "float range" in err
 
 
 def test_check_answers_above_the_minor_walk_cap(tmp_path, capsys):

@@ -89,6 +89,25 @@ def test_pair_certified_at_unit_weights_takes_no_newton_step():
     assert found.steps == 0
     assert np.array_equal(found.p, np.ones(3)) and np.array_equal(found.q, np.ones(3))
     assert found.lam <= -1e-3
+    # the start's factor, of (lam + 1) I - F(1)
+    expected = -_block(np.hstack([a / s, b / s]), np.ones(6)) + (found.lam + 1.0) * np.eye(6)
+    np.testing.assert_allclose(found.chol @ found.chol.T, expected, rtol=0.0, atol=1e-14)
+
+
+def test_last_iterate_of_a_path_that_gives_up_is_a_dual_point():
+    # the conditions of the theorem of alternatives that riccati's dual
+    # witness rests on hold at Z = (L L')^-1: (A Z11 + B Z21)_ii >= 0 and
+    # (Z11)_ii >= (Z22)_ii
+    a = np.array([[-2.0, 2.0, -2.0, -1.0], [-4.0, -3.0, 2.0, -2.0], [1.0, 2.0, -4.0, 0.0], [0.0, 3.0, -3.0, -5.0]])
+    b = np.array([[1.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, -3.0], [0.0, -1.0, 0.0, -1.0]])
+    s = np.abs(a).max() + np.abs(b).max()
+    found = minimize(a / s, b / s, stop=-1e-3, tol=1e-7, max_iter=5000)
+    assert found.lam > 0.0 and found.steps > 0
+    chol = found.chol
+    assert np.array_equal(chol, np.tril(chol)) and (chol.diagonal() > 0.0).all()
+    z = np.linalg.inv(chol @ chol.T)
+    assert (np.diag(a @ z[:4, :4] + b @ z[4:, :4]) > 0.0).all()
+    assert (z.diagonal()[:4] > z.diagonal()[4:]).all()
 
 
 def test_max_iter_caps_newton_steps():

@@ -1,6 +1,7 @@
 """The package's public surface: __all__ is exactly the pinned names, each
 resolves, once, and has a docstring; no module of the package imports a
-name it does not use; and every module-level constant is read."""
+name it does not use; every module-level constant is read; and every
+module-level function and class is referenced."""
 
 import ast
 from pathlib import Path
@@ -124,3 +125,24 @@ def test_every_module_constant_is_read():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert [f"{where} {name}" for name, where in constants.items() if name not in read] == []
+
+
+def test_every_module_function_and_class_is_referenced():
+    """A module-level def or class of the package must be referenced, by
+    name or as an attribute, somewhere in src/, tests/ or perfbench/ outside
+    its own body: one nothing refers to is a leftover."""
+    package = Path(riccstab.__file__).parent
+    defined = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+    referenced = set()
+    for path in sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = top.name if path.parent == package and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                if name is not None and name != own:
+                    referenced.add(name)
+    assert [f"{where} {name}" for name, where in defined.items() if name not in referenced] == []

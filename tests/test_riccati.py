@@ -1,22 +1,18 @@
 """Certifying solver: block form, certificate verification, refutation."""
 
-from itertools import combinations, product
-from math import comb
-
 import numpy as np
 import pytest
 
-from riccstab import matcore, pmatrix, riccati
+from riccstab import lmi, matcore, pmatrix, riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import BlockSymmetric
-from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor, stacked_minors
+from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor
 from riccstab.riccati import (
-    SIGN_ENUM_MAX_N,
+    EXTREME_TABLE_MAX_N,
     MatrixPair,
     SolveOptions,
     Verdict,
-    _sign_hits,
-    _sign_minors,
+    _extreme_hits,
     block_lmi,
     make_witness,
     refute,
@@ -33,143 +29,18 @@ def reference_riccati_form(pair: MatrixPair, p, q) -> np.ndarray:
     return pair.a.T * p + p[:, None] * pair.a + np.diag(q) + (pb / q) @ pb.T
 
 
-def reference_sign_witness_search(pair: MatrixPair):
-    """The nested loop the stacked enumeration replaced: one minor per
-    (subset, d, e), subsets by size then lexicographic, signs in binary
-    counter order."""
-    n = pair.n
-    a, b = pair.a, pair.b
-    tried = 0
-    for size in range(1, n + 1):
-        parity = -1.0 if size % 2 else 1.0
-        sign_tuples = list(product((1.0, -1.0), repeat=size))
-        d_tuples = [t for t in sign_tuples if t[0] == 1.0]
-        for subset in combinations(range(n), size):
-            ix = np.ix_(subset, subset)
-            asub = a[ix]
-            bsub = b[ix]
-            for dt in d_tuples:
-                d = np.asarray(dt)
-                ad = asub * d[None, :]
-                dprod = float(np.prod(d))
-                for et in sign_tuples:
-                    e = np.asarray(et)
-                    tried += 1
-                    sub = ad + bsub * e[None, :]
-                    if size == 1:
-                        minor = float(sub[0, 0])
-                    elif size == 2:
-                        minor = float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-                    else:
-                        minor = float(np.linalg.det(sub))
-                    if parity * dprod * minor <= 0.0:
-                        d_full = np.ones(n)
-                        e_full = np.ones(n)
-                        d_full[list(subset)] = d
-                        e_full[list(subset)] = e
-                        s_vec = np.concatenate([d_full, e_full])
-                        return np.outer(s_vec, s_vec), tried
-    return None, tried
-
-
-def stacked_de_sign_witness_search(pair: MatrixPair):
-    """The enumeration over sigma = d o e replaced: every (d, e) with d_0 = +1
-    on every subset, each size's (subset, d, e) minors as one stack."""
-    n = pair.n
-    a, b = pair.a, pair.b
-    tried = 0
-    for size in range(1, n + 1):
-        parity = -1.0 if size % 2 else 1.0
-        e = np.array(list(product((1.0, -1.0), repeat=size)))
-        d = e[: e.shape[0] // 2]
-        subsets = np.array(list(combinations(range(n), size)))
-        rows, cols = subsets[:, None, None, :, None], subsets[:, None, None, None, :]
-        stack = a[rows, cols] * d[:, None, None, :] + b[rows, cols] * e[:, None, :]
-        minors = (parity * d.prod(axis=1))[:, None] * stacked_minors(stack)
-        hits = np.flatnonzero(minors <= 0.0)
-        if hits.size:
-            si, di, ei = np.unravel_index(hits[0], minors.shape)
-            s_vec = np.ones(2 * n)
-            s_vec[subsets[si]] = d[di]
-            s_vec[n + subsets[si]] = e[ei]
-            return np.outer(s_vec, s_vec), tried + int(hits[0]) + 1
-        tried += minors.size
-    return None, tried
-
-
-def sigma_sign_witness_search(pair: MatrixPair):
-    """The enumeration the screen's table replaced: per subset size, one
-    stack of the 2^k sign patterns sigma on every subset of the pair as it
-    stands, the first hit mapped back to d = 1, e = sigma."""
-    n = pair.n
-    a, b = pair.a, pair.b
-    tried = 0
-    for size in range(1, n + 1):
-        parity = -1.0 if size % 2 else 1.0
-        sigma = np.array(list(product((1.0, -1.0), repeat=size)))
-        subsets = np.array(list(combinations(range(n), size)))
-        rows, cols = subsets[:, None, :, None], subsets[:, None, None, :]
-        minors = parity * stacked_minors(a[rows, cols] + b[rows, cols] * sigma[:, None, :])
-        per_subset = sigma.shape[0] ** 2 // 2
-        hits = np.flatnonzero(minors <= 0.0)
-        if hits.size:
-            si, ei = divmod(int(hits[0]), sigma.shape[0])
-            s_vec = np.ones(2 * n)
-            s_vec[n + subsets[si]] = sigma[ei]
-            return np.outer(s_vec, s_vec), tried + si * per_subset + ei + 1
-        tried += subsets.shape[0] * per_subset
-    return None, tried
-
-
 def reference_screen(pair: MatrixPair):
-    """The screen before the table: each extreme through the walk of
-    nonpositive_minor, then sigma_sign_witness_search up to n = 6."""
+    """The extremes s = (1, +1), then (1, -1), each through the walk of
+    nonpositive_minor and then make_witness, as (witness or None, count of
+    extremes tried)."""
     n = pair.n
-    tried = 0
-    for s12_sign in (1.0, -1.0):
-        tried += 1
+    for tried, s12_sign in ((1, 1.0), (2, -1.0)):
         if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
             witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
             if witness is not None:
                 return witness, tried
-    if n > SIGN_ENUM_MAX_N:
-        return None, tried
-    s_full, enum_tried = sigma_sign_witness_search(pair)
-    tried += enum_tried
-    if s_full is not None:
-        witness = make_witness(pair, BlockSymmetric(s_full, n))
-        if witness is not None:
-            return witness, tried
-    return None, tried
-
-
-def table_sign_search(pair: MatrixPair):
-    """The enumeration's first hit as the screen reads it from its table,
-    its witness as a plain array."""
-    s, tried = next(_sign_hits(_sign_minors(pair) <= 0.0, pair.n), (None, (5**pair.n - 1) // 2))
-    return (None if s is None else s.full), tried
-
-
-def _first_hit_size(tried: int, n: int) -> int:
-    """Subset size of the tried-th candidate: size k holds C(n, k) 2^(k-1) 2^k."""
-    for size in range(1, n + 1):
-        tried -= comb(n, size) * 2 ** (2 * size - 1)
-        if tried <= 0:
-            return size
-    raise AssertionError("count beyond the enumeration")
-
-
-def _sign_search_pairs(rng, n):
-    """Pairs with and without rank-one sign witnesses, integer ones included;
-    the growing coupling t moves the first violation through the enumeration."""
-    eye = np.eye(n)
-    yield MatrixPair(-2.0 * eye, np.full((n, n), 1.9 / n))
-    yield MatrixPair(np.round(rng.standard_normal((n, n))) - 2.0 * eye, np.round(rng.standard_normal((n, n))))
-    for t in (0.2, 0.6, 0.9, 1.1, 1.4, 2.0):
-        a = -eye + 0.3 * rng.standard_normal((n, n))
-        b = rng.standard_normal((n, n))
-        yield MatrixPair(a, t * b / np.linalg.norm(b, 2))
+    return None, 2
 
 
 def test_block_lmi_scalar_example():
@@ -340,61 +211,6 @@ def test_solve_options_accept_zero_budgets():
     assert solve_diagonal(MatrixPair([[-2.0]], [[1.0]]), opts).status == Verdict.FEASIBLE  # certified at w = 1
 
 
-@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
-def test_stacked_sign_search_matches_nested_reference(n):
-    rng = np.random.default_rng(200 + n)
-    for pair in _sign_search_pairs(rng, n):
-        s, tried = table_sign_search(pair)
-        s_ref, tried_ref = reference_sign_witness_search(pair)
-        assert tried == tried_ref
-        if s_ref is None:
-            assert s is None
-        else:
-            assert np.array_equal(s, s_ref)
-
-
-@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
-def test_sign_search_matches_full_de_enumeration(n):
-    rng = np.random.default_rng(300 + n)
-    pairs = list(_sign_search_pairs(rng, n))
-    # A = -I + 0.3 N, ||B||_2 = 1: the first hit often has size 3 or more
-    pairs += [
-        MatrixPair(-np.eye(n) + 0.3 * rng.standard_normal((n, n)), b / np.linalg.norm(b, 2))
-        for b in rng.standard_normal((12, n, n))
-    ]
-    no_hit, sizes = 0, set()
-    for pair in pairs:
-        s, tried = table_sign_search(pair)
-        s_ref, tried_ref = stacked_de_sign_witness_search(pair)
-        assert tried == tried_ref
-        if s_ref is None:
-            assert s is None
-            assert tried == (5**n - 1) // 2
-            no_hit += 1
-        else:
-            assert np.array_equal(s, s_ref)
-            sizes.add(_first_hit_size(tried, n))
-    assert no_hit
-    assert max(sizes) >= min(n, 3)
-
-
-def test_sign_search_makes_at_most_one_det_call_per_subset(monkeypatch):
-    calls = []
-    det = np.linalg.det
-
-    def counting_det(stack):
-        calls.append(stack.shape)
-        return det(stack)
-
-    monkeypatch.setattr(np.linalg, "det", counting_det)
-    n = SIGN_ENUM_MAX_N
-    witness, tried = refute(MatrixPair(-2.0 * np.eye(n), np.full((n, n), 1.9 / n)))
-    assert witness is None and tried == 2 + (5**n - 1) // 2
-    # one stack per subset size k >= 3, which holds all its subsets and sign patterns
-    assert [shape[-1] for shape in calls] == list(range(3, n + 1))
-    assert [shape[:2] for shape in calls] == [(comb(n, k), 2**k) for k in range(3, n + 1)]
-
-
 # feasible with margin about 1e-9, below the default tol: the search cannot
 # certify it and no witness exists, so every solve ends Unknown
 BOUNDARY = MatrixPair([[-1.0]], [[1.0 - 1e-9]])
@@ -402,21 +218,22 @@ FAST = SolveOptions(max_iter=200)
 
 
 def test_unknown_counts_the_screen_once():
+    # both extremes and the dual iterate, each counted once
     verdict = solve_diagonal(BOUNDARY, FAST)
     assert verdict.status == Verdict.UNKNOWN
-    _, screened = refute(BOUNDARY)
-    assert verdict.samples_tried == screened
+    assert verdict.samples_tried == 3
+    assert refute(BOUNDARY, FAST) == (None, verdict.samples_tried)
 
 
 def test_screen_runs_once_per_solve(monkeypatch):
     builds = []
-    sign_minors = riccati._sign_minors
+    extreme_hits = riccati._extreme_hits
 
-    def counting_sign_minors(pair):
+    def counting_extreme_hits(pair):
         builds.append(pair.n)
-        return sign_minors(pair)
+        return extreme_hits(pair)
 
-    monkeypatch.setattr(riccati, "_sign_minors", counting_sign_minors)
+    monkeypatch.setattr(riccati, "_extreme_hits", counting_extreme_hits)
     pairs = [BOUNDARY, MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))]
     for pair in pairs:
         solve_diagonal(pair, FAST)
@@ -426,13 +243,13 @@ def test_screen_runs_once_per_solve(monkeypatch):
 def _screen_exit(witness, tried: int) -> str:
     if witness is None:
         return "none"
-    return {1: "plus", 2: "minus"}.get(tried, "sign")
+    return {1: "plus", 2: "minus"}.get(tried, "dual")
 
 
 def _screen_pairs(rng, n):
-    """Pairs that leave the screen at every exit: the + extreme, the -
-    extreme alone, a sign witness (of size >= 2, as those of size 1 are the
-    extremes') and none."""
+    """Pairs that leave the pipeline at every exit: the + extreme, the -
+    extreme alone, the dual iterate (at n >= 2: at n = 1 the extremes are
+    the only witnesses) and none."""
     eye = np.eye(n)
     yield MatrixPair(-eye, 2.0 * eye)  # -(A + B) = -I
     yield MatrixPair(-eye, -2.0 * eye)  # -(A + B) = 3I, -(A - B) = -I
@@ -444,29 +261,40 @@ def _screen_pairs(rng, n):
             yield MatrixPair(-eye + 0.3 * rng.standard_normal((n, n)), t * b / np.linalg.norm(b, 2))
 
 
-@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+@pytest.mark.parametrize("n", range(1, EXTREME_TABLE_MAX_N + 1))
 def test_screen_matches_the_walk_and_enumeration_reference(n):
     rng = np.random.default_rng(500 + n)
     exits = set()
     for pair in _screen_pairs(rng, n):
+        # the table of the extremes' minors agrees with the walk on both
+        walks = [nonpositive_minor(-(pair.a + pair.b * sign)) is not None for sign in (1.0, -1.0)]
+        assert _extreme_hits(pair).tolist() == walks
         witness, tried = refute(pair)
         expected, tried_ref = reference_screen(pair)
-        assert tried == tried_ref
-        assert (witness is None) == (expected is None)
         if expected is not None:
+            assert tried == tried_ref
             assert np.array_equal(witness.s.full, expected.s.full)
             assert witness.p_report == expected.p_report
+        else:
+            assert tried in (0, 2, 3)  # unit weights, the barrier's certificate, the dual
+            if witness is not None:
+                assert tried == 3 and make_witness(pair, witness.s) is not None
         exits.add(_screen_exit(witness, tried))
-    assert exits == ({"plus", "minus", "sign", "none"} if n > 1 else {"plus", "minus", "none"})
+    assert exits == ({"plus", "minus", "dual", "none"} if n > 1 else {"plus", "minus", "none"})
 
 
 @pytest.mark.parametrize("c", [2.0**-1000, 1e-300, 1e300])
-@pytest.mark.parametrize("n", range(1, SIGN_ENUM_MAX_N + 1))
+@pytest.mark.parametrize("n", range(1, EXTREME_TABLE_MAX_N + 1))
 def test_screen_and_verdict_do_not_change_with_the_scale_of_the_pair(n, c):
-    """The table is built on the pair scaled to unit size by a power of two,
-    so no minor over- or underflows: c (A, B) leaves the screen where (A, B)
-    does, with the same count, and gets its verdict."""
+    """The extremes' table is built on the pair scaled to unit size by a
+    power of two, so no minor over- or underflows, and the barrier works on
+    the pair divided by its scale: c (A, B) leaves the pipeline where (A, B)
+    does, with the same count, and gets its verdict. An extreme's witness
+    (entries +-1) is the same bit for bit, and so is the dual's when c is a
+    power of two; otherwise c (A, B) is (A, B) times c rounded, and the
+    dual's S moves by that rounding only and refutes both pairs."""
     rng = np.random.default_rng(600 + n)
+    exact = np.frexp(c)[0] == 0.5
     exits = set()
     pairs = list(_screen_pairs(rng, n))
     for pair in pairs[:4] + pairs[4::4]:  # the constructed exits and a quarter of the random pairs
@@ -476,7 +304,12 @@ def test_screen_and_verdict_do_not_change_with_the_scale_of_the_pair(n, c):
         assert tried_c == tried
         assert (witness_c is None) == (witness is None)
         if witness is not None:
-            assert np.array_equal(witness_c.s.full, witness.s.full)
+            if tried < 3 or exact:
+                assert np.array_equal(witness_c.s.full, witness.s.full)
+            else:
+                np.testing.assert_allclose(witness_c.s.full, witness.s.full, rtol=0.0, atol=1e-12)
+                assert make_witness(pair, witness_c.s) is not None
+                assert make_witness(scaled, witness.s) is not None
             assert witness_c.p_report.failing_subset == witness.p_report.failing_subset
             assert witness_c.to_json()["failing_minor"] * witness.p_report.failing_minor >= 0.0
         exits.add(_screen_exit(witness, tried))
@@ -584,9 +417,9 @@ def _counting_calls(monkeypatch, module, names):
 
 def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
     calls = _counting_calls(monkeypatch, riccati, ("make_witness", "_image_minor"))
-    witness, tried = refute(INVARIANCE_BASES[1])  # feasible, n = 3
+    witness, tried = refute(INVARIANCE_BASES[0])  # no extreme hits; the barrier certifies
     assert witness is None
-    assert tried == 2 + (5**3 - 1) // 2
+    assert tried == 2
     assert calls == []
     witness, tried = refute(MatrixPair([[-1.0]], [[2.0]]))
     assert witness is not None and tried == 1
@@ -594,9 +427,9 @@ def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
 
 
 def test_extremes_above_the_sign_enumeration_walk_once_each(monkeypatch):
-    # above SIGN_ENUM_MAX_N each extreme goes to make_witness directly: its
+    # above EXTREME_TABLE_MAX_N each extreme goes to make_witness directly: its
     # walk is the test, and the spectrum is taken only for an image that fails
-    n = riccati.SIGN_ENUM_MAX_N + 2
+    n = riccati.EXTREME_TABLE_MAX_N + 2
     walks = _counting_calls(monkeypatch, pmatrix, ("is_p_matrix",))
     spectra = _counting_calls(monkeypatch, np.linalg, ("eigvalsh",))
     witness, tried = refute(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # image of the + extreme is -I
@@ -604,8 +437,12 @@ def test_extremes_above_the_sign_enumeration_walk_once_each(monkeypatch):
     assert (len(walks), len(spectra)) == (1, 1)
     walks.clear()
     spectra.clear()
-    assert refute(MatrixPair(-2.0 * np.eye(n), 0.1 * np.eye(n))) == (None, 2)
-    assert (len(walks), len(spectra)) == (2, 0)
+    # a barrier that stops at once with dual iterate I, whose S = I has the P image -diag(A)
+    monkeypatch.setattr(riccati, "minimize", lambda a, b, **_: lmi.BarrierResult(np.ones(n), np.ones(n), 1.0, 0, np.eye(2 * n)))
+    readme_blocks = MatrixPair(np.kron(np.eye(n // 2), [[-3.0, 1.0], [1.0, -3.0]]), np.eye(n))  # unit weights fail
+    assert refute(readme_blocks) == (None, 3)
+    # one walk per extreme and one for the dual; the one spectrum is the unit-weight test's
+    assert (len(walks), len(spectra)) == (3, 1)
 
 
 # the README pair (one Newton step) and a 3x3 base that unit weights certify
@@ -645,9 +482,8 @@ def test_solve_feasible_at_small_scale():
     assert verify_certificate(pair, verdict.certificate.p, verdict.certificate.q)[0]
 
 
-# an integer pair whose sign table, times 1e150, holds entries that det rounds
-# to -0.0 at counts 59 and 60 although the images of their witnesses are
-# P-matrices (make_witness refuses them); the entry at count 190 refutes
+# an integer pair that neither extreme refutes and that the barrier cannot
+# certify: only the dual iterate refutes it, also at 1e150 times it
 REFUSED_HIT_PAIR = MatrixPair(
     [[-2.0, 2.0, -2.0, -1.0], [-4.0, -3.0, 2.0, -2.0], [1.0, 2.0, -4.0, 0.0], [0.0, 3.0, -3.0, -5.0]],
     [[1.0, 1.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 1.0], [0.0, -1.0, 0.0, -3.0], [0.0, -1.0, 0.0, -1.0]],
@@ -656,38 +492,24 @@ REFUSED_HIT_PAIR = MatrixPair(
 
 @pytest.mark.parametrize("c", [1.0, 1e150])
 def test_screen_moves_past_a_hit_make_witness_refuses(c):
+    # past both extremes and the barrier, the dual iterate refutes
     pair = MatrixPair(c * REFUSED_HIT_PAIR.a, c * REFUSED_HIT_PAIR.b)
-    expected, _ = refute(REFUSED_HIT_PAIR)
+    assert _extreme_hits(pair).tolist() == [False, False]
     verdict = solve_diagonal(pair)
     assert verdict.status == Verdict.REFUTED
-    assert verdict.samples_tried == 2 + 190
-    assert np.array_equal(verdict.witness.s.full, expected.s.full)
-
-
-def test_screen_whose_hits_are_all_refused_covers_the_enumeration(monkeypatch):
-    offered = []
-
-    def refuse(pair, s):
-        offered.append(s.full[0, pair.n :].tobytes())
-        return None
-
-    monkeypatch.setattr(riccati, "make_witness", refuse)
-    n = 4
-    witness, tried = refute(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # every entry of size 1 fails
-    assert witness is None
-    assert tried == 2 + (5**n - 1) // 2
-    # the + extreme, then each distinct e of the table's failing entries once:
-    # every e but -1, whose image 3I is a P-matrix
-    assert len(offered[1:]) == len(set(offered[1:])) == 2**n - 1
+    assert verdict.samples_tried == 3
+    assert verdict.witness.p_report.failing_subset == (0, 1, 2, 3)
+    for target in (pair, REFUSED_HIT_PAIR):  # a witness of c (A, B) refutes (A, B)
+        assert make_witness(target, verdict.witness.s) is not None
 
 
 @pytest.mark.parametrize("pair", [MatrixPair([[-2.0]], [[1.0]]), INVARIANCE_BASES[1]], ids=["scalar", "dense3"])
 def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
-    def screen(pair):
+    def screen(*args, **kwargs):
         raise AssertionError("the screen ran on a pair that unit weights certify")
 
-    monkeypatch.setattr(riccati, "refute", screen)
-    monkeypatch.setattr(riccati, "minimize", screen)
+    for name in ("_extreme_hits", "make_witness", "minimize"):
+        monkeypatch.setattr(riccati, name, screen)
     s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
     verdict = solve_diagonal(pair)
     assert verdict.status == Verdict.FEASIBLE
@@ -697,11 +519,13 @@ def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
     assert verify_certificate(pair, cert.p, cert.q, margin_req=SolveOptions().tol * s)[0]
 
 
-def test_pair_not_certified_at_unit_weights_runs_the_screen_first():
-    # the README pair needs one Newton step: Feasible after the whole screen
+def test_pair_not_certified_at_unit_weights_runs_the_screen_first(monkeypatch):
+    # the README pair needs one Newton step: Feasible after both extremes
+    calls = _counting_calls(monkeypatch, riccati, ("_extreme_hits", "minimize"))
     verdict = solve_diagonal(INVARIANCE_BASES[0])
     assert verdict.status == Verdict.FEASIBLE
-    assert verdict.samples_tried == 2 + (5**2 - 1) // 2
+    assert verdict.samples_tried == 2
+    assert calls == ["_extreme_hits", "minimize"]
 
 
 @pytest.mark.parametrize("n", [1, 3, MAX_P_SIZE + 1])

@@ -10,6 +10,7 @@ from riccstab.riccati import (
     RiccatiCertificate,
     Verdict,
     block_lmi,
+    make_witness,
     solve_diagonal,
     verify_certificate,
 )
@@ -124,7 +125,25 @@ def test_row_scaling_leaves_the_block_form_and_the_status_unchanged():
         assert solve_diagonal(scaled).status == status
         statuses.append(status)
     census = {status: statuses.count(status) for status in set(statuses)}
-    assert census == {"Feasible": 51, "Refuted": 134, "Unknown": 15}
+    assert census == {"Feasible": 51, "Refuted": 149}
+
+
+def test_generic_pairs_are_decided_and_keep_their_status_under_signatures():
+    """Every generic pair is decided, every witness qualifies, and the
+    signature maps (A, B) -> (A, BE) and (DAD, DBE), congruences of the block
+    form by diag(I, E) and diag(D, E), change no status."""
+    rng = np.random.default_rng(61)
+    statuses = []
+    for pair in generic_pairs(100):
+        d, e = rng.choice([-1.0, 1.0], (2, pair.n))
+        verdict = solve_diagonal(pair)
+        if verdict.witness is not None:
+            assert make_witness(pair, verdict.witness.s) is not None
+        assert solve_diagonal(MatrixPair(pair.a, pair.b * e)).status == verdict.status
+        assert solve_diagonal(MatrixPair(d[:, None] * pair.a * d, d[:, None] * pair.b * e)).status == verdict.status
+        statuses.append(verdict.status)
+    census = {status: statuses.count(status) for status in set(statuses)}
+    assert census == {"Feasible": 190, "Refuted": 610}
 
 
 def test_mapped_certificates_verify_on_random_pairs():
