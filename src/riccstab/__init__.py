@@ -50,7 +50,6 @@ from .riccati import (
     SolveOptions,
     Verdict,
     block_lmi,
-    refute,
     solve_diagonal,
     verify_certificate,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "lk_functional",
     "metzler_nonneg_condition",
     "p_sign_witness",
-    "refute",
     "simulate",
     "solve_diagonal",
     "structured_condition",

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ClassMismatchError, ContractError, RiccstabError
-from .matcore import is_metzler, is_nonnegative, sign_envelopes, spectral_abscissa
+from .matcore import is_metzler, is_nonnegative, spectral_abscissa
 from .riccati import MatrixPair
 
 MARGINAL_BAND = 1e-9
@@ -240,15 +240,17 @@ def _metzler_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
 
 
 def _signature_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
+    """Hurwitz test of the Metzler envelope of A (|a_ij| off the diagonal)
+    plus |B|, once D, E are checked to map the pair exactly onto the two."""
     a, b = pair.a, pair.b
-    envelopes_a = sign_envelopes(a)
-    envelopes_b = sign_envelopes(b)
+    metzler, nonneg = np.abs(a), np.abs(b)
+    np.fill_diagonal(metzler, a.diagonal())
     d, e = _signatures(a, b)
-    if not np.array_equal(a * np.outer(d, d), envelopes_a.metzler):
+    if not np.array_equal(a * np.outer(d, d), metzler):
         raise RiccstabError("signature reduction failed on A")
-    if not np.array_equal(b * np.outer(d, e), envelopes_b.nonneg):
+    if not np.array_equal(b * np.outer(d, e), nonneg):
         raise RiccstabError("signature reduction failed on B")
-    return _hurwitz_verdict(tag, envelopes_a.metzler + envelopes_b.nonneg)
+    return _hurwitz_verdict(tag, metzler + nonneg)
 
 
 def _banded_verdict(tag: ClassTag, margins: dict) -> ClassVerdict:

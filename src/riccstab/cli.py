@@ -20,7 +20,7 @@ from . import acceptance
 from .classes import UNSTRUCTURED, ClassTag, Stability, evaluate_class
 from .ddesim import _decay_run, export_csv
 from .errors import ClassMismatchError, RiccstabError
-from .riccati import MatrixPair, SolveOptions, Verdict, refute, solve_diagonal
+from .riccati import MatrixPair, SolveOptions, Verdict, solve_diagonal
 from .transforms import ScalingPair, dad_transform
 
 EXIT_OK = 0
@@ -168,14 +168,11 @@ def _cmd_classify(data: dict, args) -> int:
 
 
 def _cmd_refute(data: dict, args) -> int:
-    witness, tried = refute(_problem_pair(data), _solve_options(data, args))
-    if witness is None:
-        _emit_json({"samples_tried": tried, "witness": None}, args.out)
-        return EXIT_UNDECIDED
-    payload = witness.to_json()
-    payload["samples_tried"] = tried
+    verdict = solve_diagonal(_problem_pair(data), _solve_options(data, args))
+    payload = {"witness": None} if verdict.witness is None else verdict.witness.to_json()
+    payload["samples_tried"] = verdict.samples_tried
     _emit_json(payload, args.out)
-    return EXIT_OK
+    return EXIT_OK if verdict.witness is not None else EXIT_UNDECIDED
 
 
 def _cmd_transform(data: dict, args) -> int:

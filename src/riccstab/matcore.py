@@ -1,7 +1,7 @@
 """Dense matrix utilities, symmetric block matrices and a definiteness proof.
 
-Everything downstream leans on this module: sign envelopes, the
-BlockSymmetric type, a rounding-safe Cholesky proof of negative
+Everything downstream leans on this module: the BlockSymmetric type,
+proves_negative_definite, a rounding-safe Cholesky proof of negative
 definiteness that holds however accurate an eigensolver is, and the
 spectral abscissa (the class verdicts in classes band it). Matrices are
 dense, row-major numpy arrays of float64. All functions are pure.
@@ -11,13 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
-
-SYMMETRY_RTOL = 1e-10
 
 
 def as_matrix(obj) -> np.ndarray:
@@ -53,25 +50,6 @@ def as_positive_vector(obj, n: int | None = None) -> np.ndarray:
     if (v <= 0.0).any():
         raise ContractError("vector entries must be strictly positive")
     return v
-
-
-class SignEnvelopes(NamedTuple):
-    """Comparison envelopes of a square matrix.
-
-    metzler keeps the diagonal and takes absolute values off it; nonneg takes
-    absolute values everywhere.
-    """
-
-    metzler: np.ndarray
-    nonneg: np.ndarray
-
-
-def sign_envelopes(c) -> SignEnvelopes:
-    m = as_square(c)
-    nonneg = np.abs(m)
-    metzler = nonneg.copy()
-    np.fill_diagonal(metzler, np.diag(m))
-    return SignEnvelopes(metzler, nonneg)
 
 
 def is_metzler(m) -> bool:
@@ -123,22 +101,16 @@ def _symmetry_scale(a: np.ndarray) -> float:
     return max(1.0, top * float(np.linalg.norm(a / top))) if top > 0.0 else 1.0
 
 
-def _require_symmetric(m) -> np.ndarray:
-    a = as_square(m)
-    if float(np.abs(a - a.T).max()) > SYMMETRY_RTOL * _symmetry_scale(a):
-        raise ContractError("matrix is not symmetric within tolerance")
-    return (a + a.T) / 2.0
-
-
 def _up(x: float) -> float:
     """Next float up: bounds the real result of the rounding that made x."""
     return math.nextafter(x, math.inf)
 
 
-def proves_negative_definite(m, margin: float = 0.0) -> bool:
-    """True only when m < -margin * I is proved despite rounding.
+def proves_negative_definite(a: np.ndarray, margin: float = 0.0) -> bool:
+    """True only when a < -margin * I is proved despite rounding; a must be
+    exactly symmetric, as a block form from riccati.block_lmi is.
 
-    Floating-point Cholesky must complete on S = fl(G - cI), G = -m - margin I
+    Floating-point Cholesky must complete on S = fl(G - cI), G = -a - margin I
     of size k, with Rump's a-priori shift (BIT 46, 2006), u = 2^-53,
     gamma = (k + 1) u / (1 - (k + 1) u) and eta = 2^-1074:
     c = (1 + 4u)((1 + u) tr(G) gamma / (1 - gamma) + u max g_ii) + 2k(k + 2 + max g_ii) eta.
@@ -148,12 +120,6 @@ def proves_negative_definite(m, margin: float = 0.0) -> bool:
     diag(S), the eta term underflow. c is evaluated rounding upward, so the
     float shift is never below it. False means only that the proof failed.
     """
-    return _proves_negative_definite(_require_symmetric(m), margin)
-
-
-def _proves_negative_definite(a: np.ndarray, margin: float) -> bool:
-    """proves_negative_definite on an exactly symmetric array: one
-    _require_symmetric has returned, or a block form from riccati.block_lmi."""
     k = a.shape[0]
     u, eta = 2.0**-53, 2.0**-1074
     g_diag = -np.diag(a)

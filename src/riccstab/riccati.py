@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ContractError
 from .lmi import _block, _inverse, minimize
-from .matcore import BlockSymmetric, _proves_negative_definite, as_positive_vector, as_square
+from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite
 from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
@@ -212,8 +212,8 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
 
     Returns (ok, achieved margin); the margin is minus the top LAPACK
     eigenvalue of the block form. ok requires that eigenvalue to sit
-    strictly below -margin_req and proves_negative_definite, a Cholesky
-    proof that does not trust it, to succeed at margin_req. Raises
+    strictly below -margin_req and matcore.proves_negative_definite, a
+    Cholesky proof that does not trust it, to succeed at margin_req. Raises
     ContractError, as block_lmi does, when the block form has an entry
     beyond the float range.
     """
@@ -221,7 +221,7 @@ def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple
         raise ContractError("margin_req must be >= 0")
     block = block_lmi(pair, p, q).full
     lam = float(np.linalg.eigvalsh(block)[-1])
-    return lam < -margin_req and _proves_negative_definite(block, margin_req), -lam
+    return lam < -margin_req and proves_negative_definite(block, margin_req), -lam
 
 
 def make_witness(pair: MatrixPair, s: BlockSymmetric) -> CorrelationWitness | None:
@@ -303,13 +303,6 @@ def _dual_witness(chol: np.ndarray, n: int) -> BlockSymmetric:
     s = z / np.outer(x, x)
     np.fill_diagonal(s, 1.0)
     return BlockSymmetric(s, n)
-
-
-def refute(pair: MatrixPair, options: SolveOptions | None = None) -> tuple[CorrelationWitness | None, int]:
-    """The witness and samples_tried of solve_diagonal(pair, options), as
-    (witness or None, tried); see Verdict."""
-    verdict = solve_diagonal(pair, options)
-    return verdict.witness, verdict.samples_tried
 
 
 def _certificate(pair: MatrixPair, p: np.ndarray, q: np.ndarray, margin_req: float) -> RiccatiCertificate | None:

@@ -14,9 +14,8 @@ import numpy as np
 
 from .errors import ContractError
 from .matcore import BlockSymmetric, as_vector
-from .riccati import MatrixPair, RiccatiCertificate, verify_certificate
+from .riccati import WITNESS_PSD_TOL, MatrixPair, RiccatiCertificate, verify_certificate
 
-PSD_INPUT_TOL = 1e-10
 DIAG_MATCH_RTOL = 1e-10
 
 CertificateMap = Callable[[RiccatiCertificate], RiccatiCertificate]
@@ -85,7 +84,7 @@ def _require_correlation_shape(s: BlockSymmetric) -> None:
 
 def _require_psd(s: BlockSymmetric) -> None:
     smallest = float(np.linalg.eigvalsh(s.full)[0])
-    if smallest < -PSD_INPUT_TOL:
+    if smallest < -WITNESS_PSD_TOL:
         raise ContractError(f"S must be positive semidefinite, min eigenvalue {smallest:.3e}")
 
 

@@ -27,8 +27,12 @@ from riccstab.classes import (
     structured_condition,
 )
 from riccstab.errors import ClassMismatchError, ContractError, RiccstabError
-from riccstab.matcore import sign_envelopes
 from riccstab.riccati import MatrixPair
+
+
+def metzler_envelope(m):
+    """m on its diagonal and |m| off it."""
+    return np.where(np.eye(len(m), dtype=bool), m, np.abs(m))
 
 
 def chain_pair(a, c, b):
@@ -194,8 +198,8 @@ def test_signatures_solve_one_sided_and_negative_zero_entries():
     pair = MatrixPair(a, b)
     assert classify(pair).name == TRIDIAG_SIGN_SYM
     d, e = classes._signatures(a, b)
-    assert np.array_equal(a * np.outer(d, d), sign_envelopes(a).metzler)
-    assert np.array_equal(b * np.outer(d, e), sign_envelopes(b).nonneg)
+    assert np.array_equal(a * np.outer(d, d), metzler_envelope(a))
+    assert np.array_equal(b * np.outer(d, e), np.abs(b))
     assert structured_condition(pair).stable is Stability.STABLE
 
 
@@ -243,8 +247,8 @@ def test_every_structured_tag_has_exact_signatures():
         tagged += 1
         d, e = classes._signatures(pair.a, pair.b)
         assert set(d.tolist()) <= {-1.0, 1.0} and set(e.tolist()) <= {-1.0, 1.0}
-        assert np.array_equal(pair.a * np.outer(d, d), sign_envelopes(pair.a).metzler)
-        assert np.array_equal(pair.b * np.outer(d, e), sign_envelopes(pair.b).nonneg)
+        assert np.array_equal(pair.a * np.outer(d, d), metzler_envelope(pair.a))
+        assert np.array_equal(pair.b * np.outer(d, e), np.abs(pair.b))
     assert tagged == 686
 
 

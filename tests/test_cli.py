@@ -14,7 +14,7 @@ from riccstab.acceptance import SelftestResult
 from riccstab.cli import main
 from riccstab.ddesim import decay_check
 from riccstab.matcore import BlockSymmetric
-from riccstab.riccati import MatrixPair, make_witness, refute, solve_diagonal
+from riccstab.riccati import MatrixPair, make_witness, solve_diagonal
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
 REFUTED = {"A": [[-1.0]], "B": [[2.0]]}
@@ -100,7 +100,7 @@ def test_check_output_does_not_depend_on_seed_or_samples(tmp_path, capsys):
 
 
 def test_refute_reports_the_screen_count_when_nothing_refutes(tmp_path, capsys):
-    _, screened = refute(MatrixPair(BOUNDARY["A"], BOUNDARY["B"]))
+    screened = solve_diagonal(MatrixPair(BOUNDARY["A"], BOUNDARY["B"])).samples_tried
     code, out, _ = run_main(capsys, ["refute", write(tmp_path, BOUNDARY)])
     assert code == 2
     assert json.loads(out) == {"samples_tried": screened, "witness": None}

@@ -1,4 +1,4 @@
-"""Core matrix helpers: sign envelopes, the block form's reported margin
+"""Core matrix helpers: sign tests, the block form's reported margin
 against a Jacobi reference, and the Cholesky definiteness proof against an
 exact oracle."""
 
@@ -7,12 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from riccstab.errors import ContractError
 from riccstab.matcore import (
     is_metzler,
     is_nonnegative,
     proves_negative_definite,
-    sign_envelopes,
 )
 from riccstab.riccati import MatrixPair, Verdict, block_lmi, solve_diagonal, verify_certificate
 
@@ -103,23 +101,6 @@ def oracle_negative_definite(m, margin):
     return None if pivots is None else min(pivots)
 
 
-def test_sign_envelopes_by_hand():
-    env = sign_envelopes([[-1.0, -2.0], [3.0, -4.0]])
-    assert np.array_equal(env.metzler, [[-1.0, 2.0], [3.0, -4.0]])
-    assert np.array_equal(env.nonneg, [[1.0, 2.0], [3.0, 4.0]])
-
-
-def test_sign_envelopes_metzler_fixed_point():
-    m = np.array([[-1.0, 0.5], [0.0, -2.0]])
-    assert np.array_equal(sign_envelopes(m).metzler, m)
-
-
-def test_sign_envelopes_zero():
-    env = sign_envelopes(np.zeros((3, 3)))
-    assert not env.metzler.any()
-    assert not env.nonneg.any()
-
-
 def test_is_metzler_examples():
     assert is_metzler([[-1.0, 0.5], [0.0, -2.0]])
     assert not is_metzler([[-1.0, -0.1], [0.0, -2.0]])
@@ -208,10 +189,8 @@ def test_proof_agrees_with_exact_oracle():
 
 def test_proof_rejects_semidefinite_and_indefinite():
     assert not proves_negative_definite(np.zeros((3, 3)))
-    assert not proves_negative_definite([[-1.0, 1.0], [1.0, -1.0]])
-    assert not proves_negative_definite([[-1.0, 2.0], [2.0, -1.0]])
+    assert not proves_negative_definite(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+    assert not proves_negative_definite(np.array([[-1.0, 2.0], [2.0, -1.0]]))
     assert proves_negative_definite(-np.eye(4), 0.5)
     assert not proves_negative_definite(-np.eye(4), 1.0)
     assert proves_negative_definite(np.zeros((2, 2)), -1.0)  # 0 < I
-    with pytest.raises(ContractError):
-        proves_negative_definite([[-1.0, 10.0], [0.0, -1.0]])

@@ -49,7 +49,6 @@ PUBLIC_API = [
     "lk_functional",
     "metzler_nonneg_condition",
     "p_sign_witness",
-    "refute",
     "simulate",
     "solve_diagonal",
     "structured_condition",
@@ -129,20 +128,29 @@ def test_every_module_constant_is_read():
 
 def test_every_module_function_and_class_is_referenced():
     """A module-level def or class of the package must be referenced, by
-    name or as an attribute, somewhere in src/, tests/ or perfbench/ outside
-    its own body: one nothing refers to is a leftover."""
+    name or as an attribute, outside its own body: one in __all__ somewhere
+    in src/, tests/ or perfbench/, any other in src/ or perfbench/. One that
+    nothing refers to is a leftover, and so is one that only tests call."""
     package = Path(riccstab.__file__).parent
     defined = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined[node.name] = f"{path.name}:{node.lineno}"
-    referenced = set()
-    for path in sorted(p for folder in ("src", "tests", "perfbench") for p in (ROOT / folder).rglob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            own = top.name if path.parent == package and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
-                if name is not None and name != own:
-                    referenced.add(name)
-    assert [f"{where} {name}" for name, where in defined.items() if name not in referenced] == []
+    referenced = {"src": set(), "tests": set(), "perfbench": set()}
+    for folder, names in referenced.items():
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                own = top.name if path.parent == package and isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+                for node in ast.walk(top):
+                    name = node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+                    if name is not None and name != own:
+                        names.add(name)
+    outside_tests = referenced["src"] | referenced["perfbench"]
+    anywhere = outside_tests | referenced["tests"]
+    leftovers = [
+        f"{where} {name}"
+        for name, where in defined.items()
+        if name not in (anywhere if name in riccstab.__all__ else outside_tests)
+    ]
+    assert leftovers == []
