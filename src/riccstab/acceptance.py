@@ -318,7 +318,7 @@ def hadamard_damping(seed: int, log: WitnessLog, cases: int = 100) -> dict:
     for _ in range(cases):
         n = int(rng.integers(2, 5))
         pair = _strong_feasible_pair(rng, n, disguise=False)
-        s = BlockSymmetric(_unit_correlation(rng, n), n)
+        s = BlockSymmetric(_unit_correlation(rng, n))
         damped = hadamard_congruence(pair, s)
         verdict = solve_diagonal(damped)
         log.record(damped, verdict)

@@ -10,7 +10,7 @@ dense, row-major numpy arrays of float64. All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,17 +70,18 @@ class BlockSymmetric:
     """A symmetric 2n x 2n matrix with named n x n blocks."""
 
     full: np.ndarray
-    n: int = field(default=0)
 
     def __post_init__(self):
         full = as_square(self.full)
-        n = self.n if self.n else full.shape[0] // 2
-        if full.shape[0] != 2 * n:
-            raise DimensionError(f"full matrix of shape {full.shape} is not 2n x 2n for n={n}")
+        if full.shape[0] % 2:
+            raise DimensionError(f"full matrix of shape {full.shape} is not 2n x 2n")
         if float(np.abs(full - full.T).max()) > 1e-12 * _symmetry_scale(full):
             raise ContractError("block matrix is not symmetric within tolerance")
         object.__setattr__(self, "full", full)
-        object.__setattr__(self, "n", n)
+
+    @property
+    def n(self) -> int:
+        return self.full.shape[0] // 2
 
     @property
     def b11(self) -> np.ndarray:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, SizeGuardError
-from .matcore import as_positive_vector, as_square
+from .matcore import _up, as_positive_vector, as_square, proves_negative_definite
 
 MAX_P_SIZE = 14
 PIVOT_TRUST = 2.0**-10  # largest error bound, relative to its pivot, at which the walk reads a pivot
@@ -225,7 +225,7 @@ def nonpositive_minor(m) -> PMatrixReport | None:
 
     Up to MAX_P_SIZE: the walk of is_p_matrix, all 2^n - 1 minors. Above it:
     the diagonal entries, then the full determinant with its sign from
-    slogdet (det = sign * exp(logdet) underflows to 0.0 for large n).
+    _signed_log_dets, which neither under- nor overflows.
     """
     a = as_square(m)
     if a.shape[0] <= MAX_P_SIZE:
@@ -234,11 +234,32 @@ def nonpositive_minor(m) -> PMatrixReport | None:
     bad = np.flatnonzero(np.diag(a) <= 0.0)
     if bad.size:
         return PMatrixReport(False, (int(bad[0]),), float(a[bad[0], bad[0]]))
-    sign, logdet = np.linalg.slogdet(a)
-    if sign > 0.0:
+    sign, logdet = _signed_log_dets(a[None])
+    if sign[0] > 0.0:
         return None
     with np.errstate(over="ignore"):  # the sign decided; the value is only reported
-        return PMatrixReport(False, tuple(range(a.shape[0])), float(sign * np.exp(logdet)))
+        return PMatrixReport(False, tuple(range(a.shape[0])), float(sign[0] * np.exp(logdet[0])))
+
+
+def _proves_definite_symmetric_part(m: np.ndarray) -> bool:
+    """True only when the symmetric part H = (M + M')/2 of a square M is
+    proved positive definite. Then so is that of every principal submatrix,
+    whose determinant is therefore positive: M is a P-matrix (Fiedler & Ptak
+    1962). False for a non-finite M, a diagonal entry <= 0, an M whose sums
+    could overflow, and whenever the proof fails. M is first scaled up,
+    exactly, by the power of two that puts max|M| at 1/2 or above. Forming H
+    rounds each entry by at most u max|M| + 2^-1075 <= 2u max|M| (u = 2^-53),
+    which moves no eigenvalue by more than 2ku max|M| (k = size), the margin
+    at which matcore.proves_negative_definite proves -H negative definite.
+    """
+    k = m.shape[0]
+    if not m.diagonal().min() > 0.0:  # NaN too
+        return False
+    top = float(np.abs(m).max())  # inf or NaN when m is not finite
+    shift = max(-math.frexp(top)[1], 0)
+    a, top = np.ldexp(m, shift), math.ldexp(top, shift)
+    # 2k top finite: no sum here or in the proof overflows
+    return math.isfinite(2.0 * k * top) and proves_negative_definite((a + a.T) * -0.5, _up(2.0 * k * _EPS * top))
 
 
 def p_sign_witness(m, x) -> int | None:

@@ -10,8 +10,9 @@ definite; certificates are built and checked in that block form alone.
 Infeasibility is certified through unit-diagonal positive semidefinite
 matrices S: if -(A o S11 + B o S12) fails to be a P-matrix for some such S
 (o is the entrywise product), no diagonal certificate can exist. The solver
-offers two kinds of S: the extremes ss', s = (1, +-1), and the barrier
-solver's last dual iterate (_dual_witness).
+offers two kinds of S: the extremes ss', s = (1, +-1), each unless the
+symmetric part of its image is proved positive definite (the image is then a
+P-matrix), and the barrier solver's last dual iterate (_dual_witness).
 
 All functions are pure and deterministic.
 """
@@ -21,21 +22,18 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 import numpy as np
 
 from .errors import ContractError
 from .lmi import _block, _inverse, minimize
 from .matcore import BlockSymmetric, as_positive_vector, as_square, proves_negative_definite
-from .pmatrix import PMatrixReport, nonpositive_minor, stacked_minors
+from .pmatrix import PMatrixReport, _proves_definite_symmetric_part, nonpositive_minor
 from .pmatrix import is_p_matrix  # noqa: F401  (riccati.is_p_matrix stays importable)
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 5000
 WITNESS_PSD_TOL = 1e-10
-EXTREME_TABLE_MAX_N = 6  # up to this n the extremes' minors come from one table
 
 
 _UNITS = {1.0: 1.0, -1.0: -1.0}
@@ -204,7 +202,7 @@ def block_lmi(pair: MatrixPair, p, q) -> BlockSymmetric:
         full = _block(np.hstack([pair.a, pair.b]), np.concatenate([pv, qv]))
     if not np.isfinite(full).all():
         raise ContractError(f"the block form at these weights exceeds the float range ({sys.float_info.max:.4g})")
-    return BlockSymmetric(full, pair.n)
+    return BlockSymmetric(full)
 
 
 def verify_certificate(pair: MatrixPair, p, q, margin_req: float = 0.0) -> tuple[bool, float]:
@@ -228,60 +226,27 @@ def make_witness(pair: MatrixPair, s: BlockSymmetric) -> CorrelationWitness | No
     """Validate a candidate witness matrix; None when it does not qualify.
 
     Qualification: both diagonal blocks of S exactly unit within 1e-12, the
-    image -(A o S11 + B o S12) has a principal minor <= 0 (see _image_minor),
-    and S PSD within WITNESS_PSD_TOL (smallest LAPACK eigenvalue), tested in
-    that order, so a candidate whose image has no such minor costs no
-    spectrum. S is symmetric by type; one whose block size is not the pair's
-    raises ContractError.
+    image -(A o S11 + B o S12) finite with a principal minor <= 0 by
+    pmatrix.nonpositive_minor, and S PSD within WITNESS_PSD_TOL (smallest
+    LAPACK eigenvalue), tested in that order, so a candidate whose image has
+    no such minor costs no spectrum. S is symmetric by type; one whose block
+    size is not the pair's raises ContractError.
     """
     if s.n != pair.n:
         raise ContractError(f"witness must be {2 * pair.n} x {2 * pair.n}")
     if np.abs(np.diag(s.full) - 1.0).max() > 1e-12:
         return None
-    report = _image_minor(pair, s.b11, s.b12)
+    image = _image(pair, s.b11, s.b12)
+    report = nonpositive_minor(image) if np.isfinite(image).all() else None
     if report is None or float(np.linalg.eigvalsh(s.full)[0]) < -WITNESS_PSD_TOL:
         return None
     return CorrelationWitness(s=s, p_report=report)
 
 
-def _image_minor(pair: MatrixPair, s11, s12) -> PMatrixReport | None:
-    """pmatrix.nonpositive_minor of the image -(A o S11 + B o S12), which
-    above n = MAX_P_SIZE tests only the diagonal entries and the full
-    determinant. None also when an entry of the image is beyond the float
-    range: such a candidate does not qualify."""
+def _image(pair: MatrixPair, s11, s12) -> np.ndarray:
+    """-(A o S11 + B o S12); an entry beyond the float range is +-inf or NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
-        image = -(pair.a * s11 + pair.b * s12)
-    return nonpositive_minor(image) if np.isfinite(image).all() else None
-
-
-@lru_cache(maxsize=EXTREME_TABLE_MAX_N)
-def _subset_stacks(n: int) -> tuple[tuple[np.ndarray, np.ndarray, float], ...]:
-    """Per subset size k = 1..n, the row and column indices of every
-    k-subset of range(n), lexicographic, and the parity (-1)^k."""
-    stacks = []
-    for size in range(1, n + 1):
-        subsets = np.array(list(combinations(range(n), size)))
-        subsets.flags.writeable = False  # shared by every caller through the cache
-        stacks.append((subsets[:, :, None], subsets[:, None, :], -1.0 if size % 2 else 1.0))
-    return tuple(stacks)
-
-
-def _extreme_hits(pair: MatrixPair) -> np.ndarray:
-    """Whether -(A + B) and -(A - B), the images of the extremes
-    s = (1, +-1), have a principal minor <= 0, for n <= EXTREME_TABLE_MAX_N:
-    a table of all their minors, one stacked_minors call per subset size, on
-    the pair scaled by the power of two that puts max(max|A|, max|B|) in
-    [1/2, 1). The scaling is exact, so it changes no sign, and no minor of
-    the scaled pair, at most k! 2^k in size, can overflow; only terms far
-    below the pair's own scale can underflow.
-    """
-    shift = -math.frexp(max(np.abs(pair.a).max(), np.abs(pair.b).max()))[1]
-    a, b = np.ldexp(pair.a, shift), np.ldexp(pair.b, shift)
-    images = np.stack([a + b, a - b])
-    hits = np.zeros(2, dtype=bool)
-    for rows, cols, parity in _subset_stacks(pair.n):
-        hits |= (parity * stacked_minors(images[:, rows, cols]) <= 0.0).any(axis=1)
-    return hits
+        return -(pair.a * s11 + pair.b * s12)
 
 
 def _dual_witness(chol: np.ndarray, n: int) -> BlockSymmetric:
@@ -302,7 +267,7 @@ def _dual_witness(chol: np.ndarray, n: int) -> BlockSymmetric:
     x = np.sqrt(np.tile(z.diagonal()[:n], 2))
     s = z / np.outer(x, x)
     np.fill_diagonal(s, 1.0)
-    return BlockSymmetric(s, n)
+    return BlockSymmetric(s)
 
 
 def _certificate(pair: MatrixPair, p: np.ndarray, q: np.ndarray, margin_req: float) -> RiccatiCertificate | None:
@@ -319,10 +284,9 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
     1. unit weights P = Q = I, which certify when lambda_max of the scaled
        block reaches stop_value();
     2. the two extremes S = ss', s = (1, +-1), exactly unit-diagonal and
-       PSD, whose images are -(A +- B). Up to n = EXTREME_TABLE_MAX_N one table
-       of their minors (_extreme_hits) decides which go to make_witness, which
-       checks a candidate through its own walk; above it each goes straight
-       to make_witness, whose one walk of nonpositive_minor is the test;
+       PSD, whose images are -(A +- B). An image whose symmetric part is
+       proved positive definite is a P-matrix and is skipped; every other
+       goes to make_witness, whose one walk of nonpositive_minor is the test;
     3. the barrier solver lmi.minimize, which minimizes lambda_max of the
        block form over diagonal (P, Q) on the gauge sum(p) + sum(q) = 2n. A
        point (p, q) maps back as (p, s q) and must pass verify_certificate
@@ -348,11 +312,10 @@ def solve_diagonal(pair: MatrixPair, options: SolveOptions | None = None) -> Ver
             if cert is not None:
                 return Verdict.feasible(cert)
 
-    hits = _extreme_hits(pair) if n <= EXTREME_TABLE_MAX_N else (True, True)
-    for tried, sign, hit in zip((1, 2), (1.0, -1.0), hits):
-        if hit:
+    for tried, sign in ((1, 1.0), (2, -1.0)):
+        if not _proves_definite_symmetric_part(_image(pair, 1.0, sign)):  # a proved P image cannot refute
             s_vec = np.concatenate([np.ones(n), np.full(n, sign)])
-            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
+            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec)))
             if witness is not None:
                 return Verdict.refuted(witness, samples_tried=tried)
     if not math.isfinite(s):

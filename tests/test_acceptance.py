@@ -151,14 +151,14 @@ def test_witness_log_counts_tampered_witnesses_as_invalid():
     log.record(pair, verdict)
     assert (log.witnesses_checked, log.invalid_witnesses) == (1, 0)
     # S12 = 0: PSD with unit diagonal, but the image -A = 1 is a P-matrix
-    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(np.eye(2), 1), report)))
+    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(np.eye(2)), report)))
     assert (log.witnesses_checked, log.invalid_witnesses) == (2, 1)
     # S12 = 2: the image -(A + 2B) = -3 fails, but S has the eigenvalue -1
-    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric([[1.0, 2.0], [2.0, 1.0]], 1), report)))
+    log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric([[1.0, 2.0], [2.0, 1.0]]), report)))
     assert (log.witnesses_checked, log.invalid_witnesses) == (3, 2)
     # S11, then S22, 1e-11 off unit: PSD, and the image -(A + B) = -1 fails
     for diagonal in ([1.0 + 1e-11, 1.0], [1.0, 1.0 + 1e-11]):
         s = np.ones((2, 2))
         np.fill_diagonal(s, diagonal)
-        log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(s, 1), report)))
+        log.record(pair, Verdict.refuted(CorrelationWitness(BlockSymmetric(s), report)))
     assert (log.witnesses_checked, log.invalid_witnesses) == (5, 4)

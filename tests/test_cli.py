@@ -118,7 +118,7 @@ def test_refute_runs_the_solver(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["samples_tried"] == 3
-    witness = BlockSymmetric(report["witness_S"], 4)
+    witness = BlockSymmetric(report["witness_S"])
     assert make_witness(MatrixPair(REFUSED_HIT_PAIR["A"], REFUSED_HIT_PAIR["B"]), witness) is not None
     # a pair that unit weights certify gets no screen at all
     code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE)])

@@ -7,7 +7,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from riccstab.errors import DimensionError
 from riccstab.matcore import (
+    BlockSymmetric,
     is_metzler,
     is_nonnegative,
     proves_negative_definite,
@@ -75,11 +77,11 @@ def reference_jacobi_eigh(m):
 
 
 def exact_ldl_pivots(x):
-    """LDL' pivots of a symmetric float matrix over the rationals, exact
-    because floats are dyadic; None once a pivot is <= 0 (then x is not
-    positive definite, and otherwise it is)."""
+    """LDL' pivots of a symmetric matrix of floats or Fractions over the
+    rationals, exact because floats are dyadic; None once a pivot is <= 0
+    (then x is not positive definite, and otherwise it is)."""
     k = len(x)
-    a = [[Fraction(float(v)) for v in row] for row in x]
+    a = [[Fraction(v) for v in row] for row in x]
     pivots = []
     for j in range(k):
         d = a[j][j]
@@ -105,6 +107,14 @@ def test_is_metzler_examples():
     assert is_metzler([[-1.0, 0.5], [0.0, -2.0]])
     assert not is_metzler([[-1.0, -0.1], [0.0, -2.0]])
     assert is_nonnegative([[0.0, 1.0], [2.0, 0.0]])
+
+
+def test_block_symmetric_reads_its_block_size_from_its_matrix():
+    s = BlockSymmetric(np.arange(16.0).reshape(4, 4) + np.arange(16.0).reshape(4, 4).T)
+    assert s.n == 2
+    assert np.array_equal(s.b12, s.full[:2, 2:])
+    with pytest.raises(DimensionError, match="2n x 2n"):
+        BlockSymmetric(np.eye(3))
 
 
 def test_jacobi_eigenpairs_random():

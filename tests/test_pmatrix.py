@@ -10,11 +10,13 @@ from riccstab.errors import ContractError, SizeGuardError
 from riccstab.pmatrix import (
     MAX_P_SIZE,
     PMatrixReport,
+    _proves_definite_symmetric_part,
     dpd_conjugate,
     is_p_matrix,
     nonpositive_minor,
     p_sign_witness,
 )
+from test_matcore import exact_ldl_pivots
 
 
 def reference_minor(sub: np.ndarray) -> float:
@@ -429,3 +431,51 @@ def test_largest_walk_evaluates_only_the_reported_minor(monkeypatch):
     report = is_p_matrix((1.0 + t) * np.eye(n) - t * np.ones((n, n)))
     assert report.failing_subset == tuple(range(n))
     assert calls == [("det", (n, n))]
+
+
+def _definiteness_cases():
+    """Seeded square matrices at n = 1..16: random ones, ones whose symmetric
+    part has its smallest eigenvalue near the proof's margin, both signs,
+    and copies scaled by 2^+-1000, 1e+-300 and into the subnormal range."""
+    for n in range(1, 17):
+        rng = np.random.default_rng(900 + n)
+        bases = [rng.standard_normal((n, n)) + t * np.sqrt(n) * np.eye(n) for t in (0.5, 1.0, 2.0)]
+        for rel in (-1e-12, -1e-15, 1e-15, 1e-14, 1e-13, 1e-12):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eig = rng.uniform(1.0, 2.0, n)
+            eig[0] = rel
+            k = rng.standard_normal((n, n))
+            bases.append((q * eig) @ q.T + (k - k.T))
+        for m in bases:
+            for c in (1.0, 2.0**1000, 2.0**-1000, 1e300, 1e-300, 1e-310, 2.0**-1070):
+                yield c * m
+
+
+def test_definite_symmetric_part_proof_is_sound():
+    proved = refused = 0
+    for m in _definiteness_cases():
+        if not _proves_definite_symmetric_part(m):
+            refused += 1
+            continue
+        proved += 1
+        k = m.shape[0]
+        part = [[(Fraction(m[i, j]) + Fraction(m[j, i])) / 2 for j in range(k)] for i in range(k)]
+        assert exact_ldl_pivots(part) is not None
+        assert nonpositive_minor(m) is None
+    assert proved >= 300 and refused >= 300
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 3.0], [0.0, 1.0]],  # a P-matrix whose symmetric part is indefinite
+        np.zeros((3, 3)),
+        [[1.0, 0.0], [0.0, 0.0]],
+        [[1.0, 0.0], [0.0, np.inf]],
+        [[1.0, np.nan], [0.0, 1.0]],
+        [[1e308, 0.0], [0.0, 1e308]],  # its sums overflow
+    ],
+    ids=["p-indefinite", "zero", "zero-diagonal", "inf", "nan", "overflow"],
+)
+def test_definite_symmetric_part_proof_refuses(m):
+    assert not _proves_definite_symmetric_part(np.asarray(m, dtype=float))

@@ -6,13 +6,11 @@ import pytest
 from riccstab import lmi, pmatrix, riccati
 from riccstab.errors import ContractError
 from riccstab.matcore import BlockSymmetric
-from riccstab.pmatrix import MAX_P_SIZE, nonpositive_minor
+from riccstab.pmatrix import MAX_P_SIZE, _proves_definite_symmetric_part, nonpositive_minor
 from riccstab.riccati import (
-    EXTREME_TABLE_MAX_N,
     MatrixPair,
     SolveOptions,
     Verdict,
-    _extreme_hits,
     block_lmi,
     make_witness,
     solve_diagonal,
@@ -36,7 +34,7 @@ def reference_screen(pair: MatrixPair):
     for tried, s12_sign in ((1, 1.0), (2, -1.0)):
         if nonpositive_minor(-(pair.a + pair.b * s12_sign)) is not None:
             s_vec = np.concatenate([np.ones(n), np.full(n, s12_sign)])
-            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec), n))
+            witness = make_witness(pair, BlockSymmetric(np.outer(s_vec, s_vec)))
             if witness is not None:
                 return witness, tried
     return None, 2
@@ -104,7 +102,7 @@ def test_verify_certificate_rejects_bad_q():
 
 def test_make_witness_refuses_a_witness_of_the_wrong_size():
     with pytest.raises(ContractError, match="2 x 2"):
-        make_witness(MatrixPair([[-1.0]], [[2.0]]), BlockSymmetric(np.ones((4, 4)), 2))
+        make_witness(MatrixPair([[-1.0]], [[2.0]]), BlockSymmetric(np.ones((4, 4))))
 
 
 def test_solve_scalar_feasible():
@@ -223,18 +221,18 @@ def test_unknown_counts_the_screen_once():
 
 
 def test_screen_runs_once_per_solve(monkeypatch):
-    builds = []
-    extreme_hits = riccati._extreme_hits
+    proofs = []
+    proves = riccati._proves_definite_symmetric_part
 
-    def counting_extreme_hits(pair):
-        builds.append(pair.n)
-        return extreme_hits(pair)
+    def counting_proves(image):
+        proofs.append(image.shape[0])
+        return proves(image)
 
-    monkeypatch.setattr(riccati, "_extreme_hits", counting_extreme_hits)
+    monkeypatch.setattr(riccati, "_proves_definite_symmetric_part", counting_proves)
     pairs = [BOUNDARY, MatrixPair([[-3.0, 1.0], [1.0, -3.0]], np.eye(2))]
     for pair in pairs:
         solve_diagonal(pair, FAST)
-    assert builds == [pair.n for pair in pairs]  # one table each
+    assert proofs == [pair.n for pair in pairs for _ in range(2)]  # one proof per extreme
 
 
 def _screen_exit(witness, tried: int) -> str:
@@ -258,14 +256,18 @@ def _screen_pairs(rng, n):
             yield MatrixPair(-eye + 0.3 * rng.standard_normal((n, n)), t * b / np.linalg.norm(b, 2))
 
 
-@pytest.mark.parametrize("n", range(1, EXTREME_TABLE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_screen_matches_the_walk_and_enumeration_reference(n):
     rng = np.random.default_rng(500 + n)
     exits = set()
+    skipped = 0
     for pair in _screen_pairs(rng, n):
-        # the table of the extremes' minors agrees with the walk on both
-        walks = [nonpositive_minor(-(pair.a + pair.b * sign)) is not None for sign in (1.0, -1.0)]
-        assert _extreme_hits(pair).tolist() == walks
+        # an extreme whose image the proof skips has no nonpositive minor
+        for sign in (1.0, -1.0):
+            image = -(pair.a + pair.b * sign)
+            if _proves_definite_symmetric_part(image):
+                assert nonpositive_minor(image) is None
+                skipped += 1
         verdict = solve_diagonal(pair)
         witness, tried = verdict.witness, verdict.samples_tried
         expected, tried_ref = reference_screen(pair)
@@ -279,18 +281,22 @@ def test_screen_matches_the_walk_and_enumeration_reference(n):
                 assert tried == 3 and make_witness(pair, witness.s) is not None
         exits.add(_screen_exit(witness, tried))
     assert exits == ({"plus", "minus", "dual", "none"} if n > 1 else {"plus", "minus", "none"})
+    assert skipped > 0
 
 
 @pytest.mark.parametrize("c", [2.0**-1000, 1e-300, 1e300])
-@pytest.mark.parametrize("n", range(1, EXTREME_TABLE_MAX_N + 1))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_screen_and_verdict_do_not_change_with_the_scale_of_the_pair(n, c):
-    """The extremes' table is built on the pair scaled to unit size by a
-    power of two, so no minor over- or underflows, and the barrier works on
-    the pair divided by its scale: c (A, B) leaves the pipeline where (A, B)
-    does, with the same count, and gets its verdict. An extreme's witness
-    (entries +-1) is the same bit for bit, and so is the dual's when c is a
-    power of two; otherwise c (A, B) is (A, B) times c rounded, and the
-    dual's S moves by that rounding only and refutes both pairs."""
+    """An extreme is skipped only when the symmetric part of its image is
+    proved positive definite, by a proof on the image scaled up by a power
+    of two to a largest entry of at least 1/2, and such an image is P at
+    every scale; the walk on any other image reads signs on it scaled by
+    powers of two. The barrier works on the pair divided by its scale:
+    c (A, B) leaves the pipeline where (A, B) does, with the same count, and
+    gets its verdict. An extreme's witness (entries +-1) is the same bit for
+    bit, and so is the dual's when c is a power of two; otherwise c (A, B) is
+    (A, B) times c rounded, and the dual's S moves by that rounding only and
+    refutes both pairs."""
     rng = np.random.default_rng(600 + n)
     exact = np.frexp(c)[0] == 0.5
     exits = set()
@@ -413,20 +419,21 @@ def _counting_calls(monkeypatch, module, names):
 
 
 def test_extremes_check_a_witness_only_on_a_hit(monkeypatch):
-    calls = _counting_calls(monkeypatch, riccati, ("make_witness", "_image_minor"))
+    calls = _counting_calls(monkeypatch, riccati, ("make_witness", "nonpositive_minor"))
     verdict = solve_diagonal(INVARIANCE_BASES[0])  # no extreme hits; the barrier certifies
     assert verdict.witness is None
     assert verdict.samples_tried == 2
     assert calls == []
     verdict = solve_diagonal(MatrixPair([[-1.0]], [[2.0]]))
     assert verdict.witness is not None and verdict.samples_tried == 1
-    assert calls == ["make_witness", "_image_minor"]  # every check, on the hit alone
+    assert calls == ["make_witness", "nonpositive_minor"]  # every check, on the hit alone
 
 
-def test_extremes_above_the_sign_enumeration_walk_once_each(monkeypatch):
-    # above EXTREME_TABLE_MAX_N each extreme goes to make_witness directly: its
-    # walk is the test, and the spectrum is taken only for an image that fails
-    n = riccati.EXTREME_TABLE_MAX_N + 2
+def test_extremes_walk_only_images_not_proved_positive_definite(monkeypatch):
+    # an extreme whose image is not proved positive definite goes to
+    # make_witness: its walk is the test, and the spectrum is taken only for
+    # an image that fails
+    n = 8
     walks = _counting_calls(monkeypatch, pmatrix, ("is_p_matrix",))
     spectra = _counting_calls(monkeypatch, np.linalg, ("eigvalsh",))
     verdict = solve_diagonal(MatrixPair(-np.eye(n), 2.0 * np.eye(n)))  # image of the + extreme is -I
@@ -439,8 +446,33 @@ def test_extremes_above_the_sign_enumeration_walk_once_each(monkeypatch):
     readme_blocks = MatrixPair(np.kron(np.eye(n // 2), [[-3.0, 1.0], [1.0, -3.0]]), np.eye(n))  # unit weights fail
     verdict = solve_diagonal(readme_blocks)
     assert (verdict.witness, verdict.samples_tried) == (None, 3)
-    # one walk per extreme and one for the dual; the one spectrum is the unit-weight test's
-    assert (len(walks), len(spectra)) == (3, 1)
+    # both images are proved positive definite: the one walk is the dual's,
+    # and the one spectrum is the unit-weight test's
+    assert (len(walks), len(spectra)) == (1, 1)
+
+
+@pytest.mark.parametrize("n", [8, 14])
+def test_extremes_proved_positive_definite_make_no_walk(monkeypatch, n):
+    # the README blocks: both images have a positive definite symmetric part
+    # and the barrier certifies the pair, so no principal minor is walked
+    walks = _counting_calls(monkeypatch, pmatrix, ("is_p_matrix",))
+    verdict = solve_diagonal(MatrixPair(np.kron(np.eye(n // 2), [[-3.0, 1.0], [1.0, -3.0]]), np.eye(n)))
+    assert (verdict.status, verdict.samples_tried) == (Verdict.FEASIBLE, 2)
+    assert walks == []
+
+
+def test_extreme_with_a_p_image_not_proved_definite_reaches_make_witness(monkeypatch):
+    # -(A + B) = [[1, 3], [0, 1]] is a P-matrix with an indefinite symmetric
+    # part, so make_witness walks it and refuses it; -(A - B) = 2I is skipped,
+    # and the barrier certifies the pair
+    pair = MatrixPair([[-1.5, -1.5], [0.0, -1.5]], [[0.5, -1.5], [0.0, 0.5]])
+    assert np.array_equal(-(pair.a + pair.b), [[1.0, 3.0], [0.0, 1.0]])
+    assert np.array_equal(-(pair.a - pair.b), 2.0 * np.eye(2))
+    calls = _counting_calls(monkeypatch, riccati, ("make_witness",))
+    walks = _counting_calls(monkeypatch, pmatrix, ("is_p_matrix",))
+    verdict = solve_diagonal(pair)
+    assert (verdict.status, verdict.samples_tried) == (Verdict.FEASIBLE, 2)
+    assert (calls, len(walks)) == (["make_witness"], 1)
 
 
 # the README pair (one Newton step) and a 3x3 base that unit weights certify
@@ -492,7 +524,7 @@ REFUSED_HIT_PAIR = MatrixPair(
 def test_screen_moves_past_a_hit_make_witness_refuses(c):
     # past both extremes and the barrier, the dual iterate refutes
     pair = MatrixPair(c * REFUSED_HIT_PAIR.a, c * REFUSED_HIT_PAIR.b)
-    assert _extreme_hits(pair).tolist() == [False, False]
+    assert all(nonpositive_minor(-(pair.a + pair.b * sign)) is None for sign in (1.0, -1.0))
     verdict = solve_diagonal(pair)
     assert verdict.status == Verdict.REFUTED
     assert verdict.samples_tried == 3
@@ -506,7 +538,7 @@ def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
     def screen(*args, **kwargs):
         raise AssertionError("the screen ran on a pair that unit weights certify")
 
-    for name in ("_extreme_hits", "make_witness", "minimize"):
+    for name in ("_proves_definite_symmetric_part", "make_witness", "minimize"):
         monkeypatch.setattr(riccati, name, screen)
     s = float(np.abs(pair.a).max() + np.abs(pair.b).max())
     verdict = solve_diagonal(pair)
@@ -519,11 +551,12 @@ def test_pair_certified_at_unit_weights_skips_the_screen(monkeypatch, pair):
 
 def test_pair_not_certified_at_unit_weights_runs_the_screen_first(monkeypatch):
     # the README pair needs one Newton step: Feasible after both extremes
-    calls = _counting_calls(monkeypatch, riccati, ("_extreme_hits", "minimize"))
+    calls = _counting_calls(monkeypatch, riccati, ("_proves_definite_symmetric_part", "make_witness", "minimize"))
     verdict = solve_diagonal(INVARIANCE_BASES[0])
     assert verdict.status == Verdict.FEASIBLE
     assert verdict.samples_tried == 2
-    assert calls == ["_extreme_hits", "minimize"]
+    # both images are proved positive definite, so make_witness is not called
+    assert calls == ["_proves_definite_symmetric_part", "_proves_definite_symmetric_part", "minimize"]
 
 
 @pytest.mark.parametrize("n", [1, 3, MAX_P_SIZE + 1])

@@ -80,7 +80,7 @@ def test_dad_map_rejects_foreign_certificate():
 
 def test_hadamard_all_ones_identity():
     pair = MatrixPair([[-2.0, 0.5], [0.3, -1.0]], [[0.2, 0.0], [0.1, 0.4]])
-    s = BlockSymmetric(np.ones((4, 4)), 2)
+    s = BlockSymmetric(np.ones((4, 4)))
     out = hadamard_congruence(pair, s)
     assert np.array_equal(out.a, pair.a)
     assert np.array_equal(out.b, pair.b)
@@ -88,7 +88,7 @@ def test_hadamard_all_ones_identity():
 
 def test_hadamard_identity_blocks_keep_diagonal():
     pair = MatrixPair([[-2.0, 0.5], [0.3, -1.0]], [[0.2, 0.0], [0.1, 0.4]])
-    out = hadamard_congruence(pair, BlockSymmetric(np.eye(4), 2))
+    out = hadamard_congruence(pair, BlockSymmetric(np.eye(4)))
     assert np.array_equal(out.a, np.diag([-2.0, -1.0]))
     assert not out.b.any()
 
@@ -97,7 +97,7 @@ def test_hadamard_rejects_indefinite_s():
     s = np.eye(4)
     s[0, 1] = s[1, 0] = 2.0
     with pytest.raises(ContractError):
-        hadamard_congruence(MatrixPair(-np.eye(2), np.zeros((2, 2))), BlockSymmetric(s, 2))
+        hadamard_congruence(MatrixPair(-np.eye(2), np.zeros((2, 2))), BlockSymmetric(s))
 
 
 def generic_pairs(per_n: int):
