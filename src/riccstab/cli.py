@@ -3,7 +3,8 @@
 Reads a problem file (JSON with matrices A and B, optional tau list,
 options, and scaling spec), dispatches to the solver, classifier, refuter,
 transformer, or simulator, and emits machine-readable reports. Output is
-deterministic for fixed inputs.
+deterministic for fixed inputs. Each command accepts only the flags it
+reads; `riccstab COMMAND --help` lists them.
 
 Exit codes: 0 definitive answer, 2 undecided (Unknown verdict, Marginal
 class, missing witness, or a failed decay run), 1 input or usage error.
@@ -36,31 +37,39 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _delays(text: str) -> list[float]:
+    """--tau: comma-separated delays."""
+    try:
+        return [float(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="riccstab", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, needs_file=True):
-        p = sub.add_parser(name, help=help_text)
-        if needs_file:
-            p.add_argument("problem", help="path to a JSON problem file")
-        p.add_argument("--tol", type=float, default=None, help="feasibility margin tolerance")
-        p.add_argument("--seed", type=int, default=None, help="selftest: the battery seed; other commands accept and ignore it")
-        p.add_argument("--samples", type=int, default=None, help="accepted and ignored, for compatibility")
-        p.add_argument("--max-iter", type=int, default=None, help="cap on the barrier solver's Newton steps")
-        p.add_argument("--tau", default=None, help="comma-separated delay list for simulation")
-        p.add_argument("--horizon", type=float, default=None, help="simulation end time")
-        p.add_argument("--step", type=float, default=None, help="integration step")
-        p.add_argument("--format", choices=("json", "csv"), default="json", help="payload format (csv: simulate only)")
-        p.add_argument("--out", default=None, help="write the payload to this path instead of stdout")
-        return p
-
-    add("check", "decide feasibility and emit the verdict with certificate or witness")
-    add("classify", "structural class verdict; falls back to check on unstructured pairs")
-    add("refute", "run the solver and emit its refutation witness only")
-    add("transform", "apply the scaling from the problem file and map a certificate through it")
-    add("simulate", "integrate the delay system and report decay for each delay")
-    add("selftest", "run the randomized cross-validation battery twice", needs_file=False)
+    emits = argparse.ArgumentParser(add_help=False)
+    emits.add_argument("--out", default=None, help="write the payload here, not to stdout (simulate json: the trajectory CSVs)")
+    solves = argparse.ArgumentParser(add_help=False, parents=[emits])
+    solves.add_argument("problem", help="path to a JSON problem file")
+    solves.add_argument("--tol", type=float, default=None, help="feasibility margin tolerance")
+    solves.add_argument("--max-iter", type=int, default=None, help="cap on the barrier solver's Newton steps")
+    for name, handler, help_text in (
+        ("check", _cmd_check, "decide feasibility and emit the verdict with certificate or witness"),
+        ("classify", _cmd_classify, "structural class verdict; falls back to check on unstructured pairs"),
+        ("refute", _cmd_refute, "run the solver and emit its refutation witness only"),
+        ("transform", _cmd_transform, "apply the scaling from the problem file and map a certificate through it"),
+    ):
+        sub.add_parser(name, help=help_text, parents=[solves]).set_defaults(handler=handler)
+    simulate = sub.add_parser("simulate", help="integrate the delay system and report decay for each delay", parents=[solves])
+    simulate.add_argument("--tau", type=_delays, default=None, help="comma-separated delay list")
+    simulate.add_argument("--horizon", type=float, default=None, help="simulation end time")
+    simulate.add_argument("--step", type=float, default=None, help="integration step")
+    simulate.add_argument("--format", choices=("json", "csv"), default="json", help="payload format")
+    simulate.set_defaults(handler=_cmd_simulate)
+    selftest = sub.add_parser("selftest", help="run the randomized cross-validation battery twice", parents=[emits])
+    selftest.add_argument("--seed", type=int, default=0, help="the battery seed")
+    selftest.set_defaults(handler=_cmd_selftest)
     return parser
 
 
@@ -91,7 +100,7 @@ def _file_options(data: dict) -> dict:
 
 def _pick(flag_value, value, name: str, integral: bool = True):
     """The flag, else the file's value, which must be a JSON number (not
-    true or false) and, for a count or seed, integral."""
+    true or false) and, for a count, integral."""
     if flag_value is not None:
         return flag_value
     if isinstance(value, bool) or not isinstance(value, (int, float)) or (integral and isinstance(value, float) and not value.is_integer()):
@@ -101,14 +110,8 @@ def _pick(flag_value, value, name: str, integral: bool = True):
 
 
 def _solve_options(data: dict, args) -> SolveOptions:
-    """SolveOptions from the flags and the file's options. seed and samples
-    are accepted for compatibility and checked like the others, but no
-    solver reads them."""
+    """SolveOptions from the flags, else the file's options."""
     opts = _file_options(data)
-    for flag_value, key in ((args.seed, "seed"), (args.samples, "samples")):
-        value = _pick(flag_value, opts.get(key, 0), f"options.{key}")
-        if value < 0:
-            raise RiccstabError(f"{key} must be >= 0, got {value}")
     base = SolveOptions()
     return SolveOptions(
         tol=float(_pick(args.tol, opts.get("tol", base.tol), "options.tol", integral=False)),
@@ -118,10 +121,8 @@ def _solve_options(data: dict, args) -> SolveOptions:
 
 def _sim_params(data: dict, args) -> tuple[list[float], float, float]:
     opts = _file_options(data)
-    tau = data.get("tau", [0.0])
-    if args.tau is not None:
-        taus = [float(part) for part in args.tau.split(",") if part.strip() != ""]
-    elif isinstance(tau, list):
+    tau = data.get("tau", [0.0]) if args.tau is None else args.tau
+    if isinstance(tau, list):
         taus = [float(_pick(None, t, "tau", integral=False)) for t in tau]
     elif isinstance(tau, (int, float)) and not isinstance(tau, bool):
         taus = [float(tau)]
@@ -149,13 +150,15 @@ def _verdict_exit(verdict: Verdict) -> int:
     return EXIT_OK if verdict.is_definitive else EXIT_UNDECIDED
 
 
-def _cmd_check(data: dict, args) -> int:
+def _cmd_check(args) -> int:
+    data = _load_problem(args.problem)
     verdict = solve_diagonal(_problem_pair(data), _solve_options(data, args))
     _emit_json(verdict.to_json(), args.out)
     return _verdict_exit(verdict)
 
 
-def _cmd_classify(data: dict, args) -> int:
+def _cmd_classify(args) -> int:
+    data = _load_problem(args.problem)
     pair = _problem_pair(data)
     try:
         class_verdict = evaluate_class(pair)
@@ -167,7 +170,8 @@ def _cmd_classify(data: dict, args) -> int:
     return EXIT_UNDECIDED if class_verdict.stable is Stability.MARGINAL else EXIT_OK
 
 
-def _cmd_refute(data: dict, args) -> int:
+def _cmd_refute(args) -> int:
+    data = _load_problem(args.problem)
     verdict = solve_diagonal(_problem_pair(data), _solve_options(data, args))
     payload = {"witness": None} if verdict.witness is None else verdict.witness.to_json()
     payload["samples_tried"] = verdict.samples_tried
@@ -175,7 +179,8 @@ def _cmd_refute(data: dict, args) -> int:
     return EXIT_OK if verdict.witness is not None else EXIT_UNDECIDED
 
 
-def _cmd_transform(data: dict, args) -> int:
+def _cmd_transform(args) -> int:
+    data = _load_problem(args.problem)
     spec = data.get("transform")
     if not isinstance(spec, dict) or "d" not in spec or "e" not in spec:
         raise RiccstabError("transform command needs a problem-file entry transform: {d: [...], e: [...]}")
@@ -210,35 +215,31 @@ def _csv_paths(base: str, taus: list[float]) -> list[str]:
     return list(owners)
 
 
-def _cmd_simulate(data: dict, args) -> int:
+def _cmd_simulate(args) -> int:
+    data = _load_problem(args.problem)
     pair = _problem_pair(data)
     taus, horizon, step = _sim_params(data, args)
+    if args.format == "csv" and len(taus) != 1:
+        raise RiccstabError("csv format requires exactly one delay")
     csv_paths = _csv_paths(args.out, taus) if args.out is not None and args.format == "json" else None
     verdict = solve_diagonal(pair, _solve_options(data, args))
     cert = verdict.certificate if verdict.status == Verdict.FEASIBLE else None
     runs = [_decay_run(pair, cert, tau, horizon, step) for tau in taus]
 
     if args.format == "csv":
-        if len(taus) != 1:
-            raise RiccstabError("csv format requires exactly one delay")
         trajectory, lk, _ = runs[0]
         export_csv(trajectory, sys.stdout if args.out is None else args.out, lk=lk)
     else:
         if csv_paths is not None:
             for path, (trajectory, lk, _) in zip(csv_paths, runs):
                 export_csv(trajectory, path, lk=lk)
-        payload = {
-            "certificate_status": verdict.status,
-            "reports": [report.to_json() for _, _, report in runs],
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        _emit_json({"certificate_status": verdict.status, "reports": [report.to_json() for _, _, report in runs]}, None)
 
     return EXIT_OK if all(report.decayed for _, _, report in runs) else EXIT_UNDECIDED
 
 
 def _cmd_selftest(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    result = acceptance.selftest(seed)
+    result = acceptance.selftest(args.seed)
     _emit_json(result.report, args.out)
     # wall-clock seconds stay off stdout, which is byte-identical for a seed
     for run, suites in result.timings.items():
@@ -248,22 +249,9 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "simulate":
-        parser.error("--format csv only applies to simulate")
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return _cmd_selftest(args)
-        data = _load_problem(args.problem)
-        handler = {
-            "check": _cmd_check,
-            "classify": _cmd_classify,
-            "refute": _cmd_refute,
-            "transform": _cmd_transform,
-            "simulate": _cmd_simulate,
-        }[args.command]
-        return handler(data, args)
+        return args.handler(args)
     except (RiccstabError, ValueError, TypeError) as exc:
         sys.stderr.write(f"riccstab: error: {exc}\n")
         return EXIT_INPUT

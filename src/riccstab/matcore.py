@@ -120,14 +120,24 @@ def proves_negative_definite(a: np.ndarray, margin: float = 0.0) -> bool:
     -gamma (1 + u) tr(G) / (1 - gamma); u max g_ii covers the rounding of
     diag(S), the eta term underflow. c is evaluated rounding upward, so the
     float shift is never below it. False means only that the proof failed.
+
+    Where k max(|a_ii|, |margin|) >= 2^1020 the trace or c could overflow, so
+    the proof runs on 2^-e a at margin 2^-e margin + k eta (2^e > that max):
+    the scaling rounds only entries that end subnormal, each by <= eta / 2,
+    which moves no eigenvalue by more than k eta / 2; k eta also covers the
+    rounding of 2^-e margin.
     """
     k = a.shape[0]
     u, eta = 2.0**-53, 2.0**-1074
-    g_diag = -np.diag(a)
-    trace = _up(math.fsum([*g_diag.tolist(), *[-margin] * k]))
+    g_diag = (-np.diag(a)).tolist()
+    top = max(*map(abs, g_diag), abs(margin))
+    if 2.0**1020 / k <= top < math.inf:
+        scale = 2.0 ** -math.frexp(top)[1]
+        return proves_negative_definite(a * scale, _up(_up(margin * scale) + k * eta))
+    trace = _up(math.fsum([*g_diag, *[-margin] * k]))
     if trace <= 0.0:  # no positive definite G has a trace <= 0
         return False
-    g_max = _up(float(g_diag.max()) - margin)
+    g_max = _up(max(g_diag) - margin)
     ku = (k + 1) * u
     ratio = _up(ku / (1.0 - 2.0 * ku))  # gamma / (1 - gamma), exactly ku / (1 - 2 ku)
     c = _up(_up(ratio * trace) * (1.0 + 2.0 * u))  # 1 + 2u: the float above 1 + u

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from riccstab import acceptance
+from riccstab import acceptance, cli
 from riccstab.acceptance import SelftestResult
-from riccstab.cli import main
+from riccstab.cli import _build_parser, main
 from riccstab.ddesim import decay_check
 from riccstab.matcore import BlockSymmetric
-from riccstab.riccati import MatrixPair, make_witness, solve_diagonal
+from riccstab.riccati import MatrixPair, make_witness, solve_diagonal, verify_certificate
 
 FEASIBLE = {"A": [[-2.0]], "B": [[1.0]]}
 REFUTED = {"A": [[-1.0]], "B": [[2.0]]}
@@ -31,7 +32,10 @@ def write(tmp_path, payload, name="problem.json"):
 
 
 def run_main(capsys, argv):
-    code = main(argv)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a usage error by exiting
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -78,25 +82,13 @@ def test_refute_emits_witness_or_empty(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["failing_minor"] == -1.0
 
-    code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE), "--samples", "16"])
+    code, out, _ = run_main(capsys, ["refute", write(tmp_path, FEASIBLE)])
     assert code == 2
     assert json.loads(out)["witness"] is None
 
 
 # feasible with margin about 1e-9, below the default tol: check ends Unknown
 BOUNDARY = {"A": [[-1.0]], "B": [[1.0 - 1e-9]]}
-
-
-def test_check_output_does_not_depend_on_seed_or_samples(tmp_path, capsys):
-    outputs = set()
-    for keys in ({}, {"options": {"seed": 3, "samples": 16}}):
-        path = write(tmp_path, dict(BOUNDARY, **keys))
-        for flags in ([], ["--seed", "3", "--samples", "16"]):
-            code, out, _ = run_main(capsys, ["check", path] + flags)
-            assert code == 2
-            outputs.add(out)
-    assert len(outputs) == 1
-    assert json.loads(outputs.pop())["status"] == "Unknown"
 
 
 def test_refute_reports_the_screen_count_when_nothing_refutes(tmp_path, capsys):
@@ -286,8 +278,6 @@ README_PAIR = {"A": [[-3.0, 1.0], [1.0, -3.0]], "B": [[1.0, 0.0], [0.0, 1.0]]}
         (["--tol", "inf"], "tol"),
         (["--tol", "-1"], "tol"),
         (["--max-iter", "-5"], "max_iter"),
-        (["--samples", "-3"], "samples"),
-        (["--seed", "-3"], "seed"),
     ],
 )
 @pytest.mark.parametrize("command", ["check", "refute"])
@@ -303,11 +293,6 @@ def test_solve_options_out_of_range_exit_one_naming_the_field(tmp_path, capsys, 
     [
         ("max_iter", 2.7),
         ("max_iter", True),
-        ("seed", 0.5),
-        ("seed", True),
-        ("samples", 1.5),
-        ("samples", False),
-        ("samples", "8"),
         ("tol", True),
         ("tol", "1e-7"),
     ],
@@ -414,6 +399,80 @@ def test_csv_format_rejected_outside_simulate(tmp_path):
     assert exc.value.code == 1
 
 
+# each command's flags; every other flag of the nine is refused
+FLAG_TABLE = {
+    "check": {"--tol", "--max-iter", "--out"},
+    "classify": {"--tol", "--max-iter", "--out"},
+    "refute": {"--tol", "--max-iter", "--out"},
+    "transform": {"--tol", "--max-iter", "--out"},
+    "simulate": {"--tol", "--max-iter", "--out", "--tau", "--horizon", "--step", "--format"},
+    "selftest": {"--seed", "--out"},
+}
+FLAG_VALUES = {
+    "--tol": ("1e-6", 1e-6),
+    "--seed": ("3", 3),
+    "--samples": ("16", 16),
+    "--max-iter": ("5", 5),
+    "--tau": ("0,1", [0.0, 1.0]),
+    "--horizon": ("20", 20.0),
+    "--step": ("0.05", 0.05),
+    "--format": ("csv", "csv"),
+    "--out": ("out.json", "out.json"),
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_each_command_accepts_only_the_flags_it_reads(tmp_path, capsys, command, flag):
+    text, value = FLAG_VALUES[flag]
+    argv = [command] + ([] if command == "selftest" else [write(tmp_path, FEASIBLE)]) + [flag, text]
+    if flag in FLAG_TABLE[command]:
+        args = _build_parser().parse_args(argv)
+        assert getattr(args, flag[2:].replace("-", "_")) == value
+        return
+    code, out, err = run_main(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err
+
+
+@pytest.mark.parametrize("command", sorted(FLAG_TABLE))
+def test_help_lists_exactly_the_flags_of_the_command(capsys, command):
+    code, out, _ = run_main(capsys, [command, "--help"])
+    assert code == 0
+    assert set(re.findall(r"--[a-z-]+", out)) == FLAG_TABLE[command] | {"--help"}
+
+
+def test_simulate_names_a_tau_that_is_not_a_number(tmp_path, capsys):
+    code, out, err = run_main(capsys, ["simulate", write(tmp_path, FEASIBLE), "--tau", "0,abc"])
+    assert code == 1
+    assert out == ""
+    assert "--tau" in err and "'0,abc'" in err
+
+
+def test_simulate_refuses_csv_for_several_delays_before_solving(tmp_path, capsys, monkeypatch):
+    def refuse(*_):
+        raise AssertionError("solve_diagonal called")
+
+    monkeypatch.setattr(cli, "solve_diagonal", refuse)
+    code, out, err = run_main(capsys, ["simulate", write(tmp_path, FEASIBLE), "--format", "csv", "--tau", "0,1,2"])
+    assert code == 1
+    assert out == ""
+    assert "exactly one delay" in err
+
+
+def test_check_certifies_a_diagonal_near_the_float_range(tmp_path, capsys):
+    # the proof's trace, 4 * 6e307, is beyond the float range at unit weights
+    pair = {"A": [[-6e307, 0.0], [0.0, -6e307]], "B": [[0.0, 0.0], [0.0, 0.0]]}
+    code, out, err = run_main(capsys, ["check", write(tmp_path, pair)])
+    assert code == 0
+    assert err == ""
+    report = _strict_json(out)
+    assert report["status"] == "Feasible"
+    assert (report["P"], report["Q"], report["margin"]) == ([1.0, 1.0], [6e307, 6e307], 6e307)
+    assert verify_certificate(MatrixPair(pair["A"], pair["B"]), report["P"], report["Q"])[0]
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -426,7 +485,7 @@ def python(*argv):
 
 def test_reports_byte_identical_across_processes(tmp_path):
     path = write(tmp_path, CHAIN)
-    cmd = ["-m", "riccstab.cli", "check", path, "--seed", "3"]
+    cmd = ["-m", "riccstab.cli", "check", path]
     first = python(*cmd)
     second = python(*cmd)
     assert first.returncode == 0

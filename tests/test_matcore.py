@@ -2,6 +2,7 @@
 against a Jacobi reference, and the Cholesky definiteness proof against an
 exact oracle."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -195,6 +196,33 @@ def test_proof_agrees_with_exact_oracle():
             assert claim
         proved += claim
     assert proved >= 100 and refused >= 50
+
+
+def test_proof_near_the_float_range_agrees_with_exact_oracle():
+    # entries up to about 1.7e308: the trace, and so the shift, leaves the float range unscaled
+    rng = np.random.default_rng(29)
+    proved = refused = 0
+    for _ in range(40):
+        k = int(rng.integers(1, 9))
+        g = rng.standard_normal((k, k))
+        m = (g + g.T) / 2.0
+        m = m - (np.linalg.eigvalsh(m)[-1] + rng.uniform(0.0, 0.5)) * np.eye(k)
+        m = m / np.abs(m).max()
+        top = float(np.linalg.eigvalsh(m)[-1])
+        for big in (1.7e308, 2.0**1023, 6e307, 1e307):
+            for rel in (-1e-3, -1e-13, 0.0, 1e-13, 1e-3):
+                margin = max(0.0, -top + rel) * big
+                claim = proves_negative_definite(m * big, margin)
+                if oracle_negative_definite(m * big, margin) is None:
+                    assert not claim
+                    refused += 1
+                else:
+                    proved += claim
+    assert proved >= 100 and refused >= 50
+    # a clear case at the top of the float range, and one past its trace
+    assert proves_negative_definite(-1.7e308 * np.eye(8), 1.6e308)
+    assert not proves_negative_definite(-1.7e308 * np.eye(8), 1.7e308)
+    assert not proves_negative_definite(-np.eye(2), math.inf)
 
 
 def test_proof_rejects_semidefinite_and_indefinite():
