@@ -12,14 +12,11 @@ from .classes import (
     ClassTag,
     ClassVerdict,
     Stability,
-    chain_feedback_condition,
     classify,
     correlation_form_bound,
     correlation_form_bound_oracle,
     evaluate_class,
-    fan_in_feedback_condition,
-    metzler_nonneg_condition,
-    structured_condition,
+    feedback_condition,
 )
 from .ddesim import (
     DecayReport,
@@ -81,7 +78,6 @@ __all__ = [
     "Stability",
     "Verdict",
     "block_lmi",
-    "chain_feedback_condition",
     "classify",
     "correlation_form_bound",
     "correlation_form_bound_oracle",
@@ -91,16 +87,14 @@ __all__ = [
     "dpd_conjugate",
     "evaluate_class",
     "export_csv",
-    "fan_in_feedback_condition",
+    "feedback_condition",
     "hadamard_congruence",
     "is_metzler",
     "is_nonnegative",
     "is_p_matrix",
     "lk_functional",
-    "metzler_nonneg_condition",
     "p_sign_witness",
     "simulate",
     "solve_diagonal",
-    "structured_condition",
     "verify_certificate",
 ]

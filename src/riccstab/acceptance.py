@@ -18,12 +18,10 @@ import numpy as np
 
 from .classes import (
     Stability,
-    chain_feedback_condition,
     correlation_form_bound,
     correlation_form_bound_oracle,
-    fan_in_feedback_condition,
-    metzler_nonneg_condition,
-    structured_condition,
+    evaluate_class,
+    feedback_condition,
 )
 from .ddesim import decay_check, simulate
 from .errors import ContractError
@@ -127,10 +125,10 @@ def _oracle_counts(rng, log: WitnessLog, cases: int, generator, condition) -> di
     return counts
 
 
-def _class_oracles(rng, log: WitnessLog, cases: int, classes) -> dict:
-    """_oracle_counts per (name, generator, condition), in order, on one stream."""
+def _class_oracles(rng, log: WitnessLog, cases: int, generators, condition) -> dict:
+    """_oracle_counts of condition per (name, generator), in order, on one stream."""
     results = {}
-    for name, generator, condition in classes:
+    for name, generator in generators:
         counts = _oracle_counts(rng, log, cases, generator, condition)
         results[name] = {key: counts[key] for key in ("cases", "stable", "mismatches")}
     results["passed"] = all(entry["mismatches"] == 0 for entry in results.values())
@@ -139,9 +137,9 @@ def _class_oracles(rng, log: WitnessLog, cases: int, classes) -> dict:
 
 def positive_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     """Metzler/nonnegative pairs: solver verdict against the Hurwitz test on
-    A + B (metzler_nonneg_condition), boundary instances discarded."""
+    A + B (evaluate_class), boundary instances discarded."""
     metzler = lambda rng: _metzler_pair(rng, int(rng.integers(2, 6)))
-    entry = _oracle_counts(np.random.default_rng([seed, 1]), log, cases, metzler, metzler_nonneg_condition)
+    entry = _oracle_counts(np.random.default_rng([seed, 1]), log, cases, metzler, evaluate_class)
     del entry["stable"]
     entry["passed"] = entry["mismatches"] == 0
     return entry
@@ -168,11 +166,8 @@ def _fan_in_instance(rng) -> MatrixPair:
 def three_by_three_oracle(seed: int, log: WitnessLog, cases: int = 200) -> dict:
     """Both 3x3 feedback classes: closed-form verdict against the solver,
     instances within the margin band of any condition discarded."""
-    classes = (
-        ("chain", _chain_instance, chain_feedback_condition),
-        ("fan_in", _fan_in_instance, fan_in_feedback_condition),
-    )
-    return _class_oracles(np.random.default_rng([seed, 2]), log, cases, classes)
+    generators = (("chain", _chain_instance), ("fan_in", _fan_in_instance))
+    return _class_oracles(np.random.default_rng([seed, 2]), log, cases, generators, feedback_condition)
 
 
 def _rank_one_row_instance(rng) -> MatrixPair:
@@ -261,13 +256,13 @@ def _superdiag_instance(rng) -> MatrixPair:
 def signature_classes(seed: int, log: WitnessLog, cases: int = 100) -> dict:
     """Signature-reducible classes: closed-form Hurwitz reduction against the
     solver, per class, with the boundary margin filter on the reduced matrix."""
-    classes = (
-        ("rank_one_row", _rank_one_row_instance, structured_condition),
-        ("tridiagonal", _tridiag_instance, structured_condition),
-        ("last_row", _last_row_instance, structured_condition),
-        ("superdiagonal", _superdiag_instance, structured_condition),
+    generators = (
+        ("rank_one_row", _rank_one_row_instance),
+        ("tridiagonal", _tridiag_instance),
+        ("last_row", _last_row_instance),
+        ("superdiagonal", _superdiag_instance),
     )
-    return _class_oracles(np.random.default_rng([seed, 3]), log, cases, classes)
+    return _class_oracles(np.random.default_rng([seed, 3]), log, cases, generators, evaluate_class)
 
 
 def certificate_map(seed: int, cases: int = 100) -> dict:

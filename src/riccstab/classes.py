@@ -2,16 +2,17 @@
 
 For several sign-structured families, diagonal Riccati feasibility reduces to
 a scalar or Hurwitz test. Detection is purely structural (exact zeros, sign
-constraints): classify runs each structural test at most once, and
-evaluate_class classifies once, then runs the verdict of the tag. The four
-signature classes are the pairs that a signature map (A, B) -> (DAD, DBE)
-sends to a Metzler A and a nonnegative B; one signature solver (_signatures,
-a balance test on a signed graph) finds D and E for all of them. The Hurwitz
-classes decide by the tri-state Hurwitz test of the Metzler comparison
-matrix (_hurwitz_verdict): its spectral abscissa, the value each verdict
-reports, banded by MARGINAL_BAND relative to the matrix entries; the 3x3
-feedback margins carry MARGINAL_BAND as an absolute band. Boundary instances
-are reported as Marginal instead of being guessed at.
+constraints): classify runs each structural test at most once. evaluate_class
+runs the verdict of the tag classify gives, feedback_condition that of the
+3x3 feedback shape, which classify may tag otherwise. The four signature
+classes are the pairs that a signature map (A, B) -> (DAD, DBE) sends to a
+Metzler A and a nonnegative B; one signature solver (_signatures, a balance
+test on a signed graph) finds D and E for all of them. The Hurwitz classes
+decide by the tri-state Hurwitz test of the Metzler comparison matrix
+(_hurwitz_verdict): its spectral abscissa, the value each verdict reports,
+banded by MARGINAL_BAND relative to the matrix entries; the 3x3 feedback
+margins carry MARGINAL_BAND as an absolute band. Boundary instances are
+reported as Marginal instead of being guessed at.
 """
 
 from __future__ import annotations
@@ -167,17 +168,14 @@ _FEEDBACK_SHAPES = {
 }
 
 
-def _feedback_tag(pair: MatrixPair, names: tuple[str, ...]) -> ClassTag | None:
-    """The tag of the first 3x3 feedback shape among names that the pair
-    has, with its diagonal a, couplings c and feedback gains b; None when it
-    has none of them."""
-    if pair.n != 3:
-        return None
+def _feedback_tag(pair: MatrixPair) -> ClassTag | None:
+    """The tag of the first 3x3 feedback shape the pair has, in classify's
+    order, with its diagonal a, couplings c and feedback gains b; None when
+    it has neither."""
     a, b = pair.a, pair.b
-    if np.any(b[:, :2] != 0.0) or b[2, 2] != 0.0:
+    if pair.n != 3 or np.any(b[:, :2] != 0.0) or b[2, 2] != 0.0:
         return None
-    for name in names:
-        zeros, coupling = _FEEDBACK_SHAPES[name]
+    for name, (zeros, coupling) in _FEEDBACK_SHAPES.items():
         if all(a[ij] == 0.0 for ij in zeros):
             c = [float(a[coupling]), float(a[2, 1])]
             return ClassTag(name, {"a": np.diag(a).tolist(), "c": c, "b": b[:2, 2].tolist()})
@@ -219,7 +217,7 @@ def classify(pair: MatrixPair) -> ClassTag:
     if family is not None and _is_superdiagonal(b):
         return ClassTag(SUPERDIAG_B, {"family": family, "b": np.diag(b, 1).tolist()})
 
-    return _feedback_tag(pair, (CHAIN_3X3, FAN_IN_3X3)) or ClassTag(UNSTRUCTURED)
+    return _feedback_tag(pair) or ClassTag(UNSTRUCTURED)
 
 
 def _hurwitz_verdict(tag: ClassTag, m: np.ndarray) -> ClassVerdict:
@@ -236,6 +234,7 @@ def _hurwitz_verdict(tag: ClassTag, m: np.ndarray) -> ClassVerdict:
 
 
 def _metzler_verdict(pair: MatrixPair, tag: ClassTag) -> ClassVerdict:
+    """Metzler A, nonnegative B: feasible exactly when A + B is Hurwitz."""
     return _hurwitz_verdict(tag, pair.a + pair.b)
 
 
@@ -294,50 +293,21 @@ _VERDICTS = {
 }
 
 
-def metzler_nonneg_condition(pair: MatrixPair) -> ClassVerdict:
-    """Metzler A, nonnegative B: feasible exactly when A + B is Hurwitz."""
-    if not (is_metzler(pair.a) and is_nonnegative(pair.b)):
-        raise ClassMismatchError("pair is not Metzler A with nonnegative B")
-    return _metzler_verdict(pair, ClassTag(METZLER_NONNEG))
+def feedback_condition(pair: MatrixPair) -> ClassVerdict:
+    """Verdict of a 3x3 feedback loop by its shape, whatever classify tags it.
 
-
-def structured_condition(pair: MatrixPair) -> ClassVerdict:
-    """Signature-reducible classes: feasibility of (A, B) is equivalent to the
-    comparison pair (Metzler envelope of A, entrywise |B|) being feasible,
-    hence to the Hurwitz property of their sum.
-
-    Every pair with one of these tags admits signatures D, E with DAD and DBE
-    equal to the envelopes; they are solved for and checked exactly before
-    the test.
+    Chain: a cascade, A lower bidiagonal. Fan-in: two decoupled states
+    feeding a third, A diagonal plus last row. In both, B feeds states 1 and
+    2 from state 3, and the pair is stable exactly when every margin is
+    positive: each diagonal entry negative, each tail or branch product
+    dominating its feedback term, and the full product dominating the
+    combined loop term. A pair of both shapes is read as the chain. Raises
+    ClassMismatchError for a pair of neither.
     """
-    tag = classify(pair)
-    if tag.name not in STRUCTURED_TAGS:
-        raise ClassMismatchError(f"pair does not match a signature-reducible class: {tag.name}")
-    return _signature_verdict(pair, tag)
-
-
-def chain_feedback_condition(pair: MatrixPair) -> ClassVerdict:
-    """Cascade with feedback into the last state: A lower bidiagonal, B
-    feeding states 1 and 2 from state 3.
-
-    Stable exactly when every margin below is positive: each diagonal entry
-    negative, the tail product dominating its feedback term, and the full
-    product dominating the combined loop term.
-    """
-    tag = _feedback_tag(pair, (CHAIN_3X3,))
+    tag = _feedback_tag(pair)
     if tag is None:
-        raise ClassMismatchError("pair does not match the 3x3 chain feedback pattern")
-    return _chain_verdict(pair, tag)
-
-
-def fan_in_feedback_condition(pair: MatrixPair) -> ClassVerdict:
-    """Two decoupled states feeding a third, with feedback from it: A diagonal
-    plus last row, B feeding states 1 and 2 from state 3.
-    """
-    tag = _feedback_tag(pair, (FAN_IN_3X3,))
-    if tag is None:
-        raise ClassMismatchError("pair does not match the 3x3 fan-in feedback pattern")
-    return _fan_in_verdict(pair, tag)
+        raise ClassMismatchError("pair does not match a 3x3 feedback pattern")
+    return _VERDICTS[tag.name](pair, tag)
 
 
 def correlation_form_bound(c: float, d: float) -> float:

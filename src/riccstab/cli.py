@@ -13,6 +13,7 @@ class, missing witness, or a failed decay run), 1 input or usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -135,11 +136,22 @@ def _sim_params(data: dict, args) -> tuple[list[float], float, float]:
     return taus, horizon, step
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Turn an OSError raised while writing path, given by --out, into an
+    input error naming the flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise RiccstabError(f"--out {path}: {exc.strerror or exc}") from exc
+
+
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
     else:
-        Path(out).write_text(payload)
+        with _writing(out):
+            Path(out).write_text(payload)
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -221,19 +233,20 @@ def _cmd_simulate(args) -> int:
     taus, horizon, step = _sim_params(data, args)
     if args.format == "csv" and len(taus) != 1:
         raise RiccstabError("csv format requires exactly one delay")
-    csv_paths = _csv_paths(args.out, taus) if args.out is not None and args.format == "json" else None
+    # csv format has one delay, so its one path is --out itself
+    csv_paths = _csv_paths(args.out, taus) if args.out is not None else []
     verdict = solve_diagonal(pair, _solve_options(data, args))
     cert = verdict.certificate if verdict.status == Verdict.FEASIBLE else None
     runs = [_decay_run(pair, cert, tau, horizon, step) for tau in taus]
 
-    if args.format == "csv":
-        trajectory, lk, _ = runs[0]
-        export_csv(trajectory, sys.stdout if args.out is None else args.out, lk=lk)
-    else:
-        if csv_paths is not None:
-            for path, (trajectory, lk, _) in zip(csv_paths, runs):
-                export_csv(trajectory, path, lk=lk)
+    for path, (trajectory, lk, _) in zip(csv_paths, runs):
+        with _writing(path):
+            export_csv(trajectory, path, lk=lk)
+    if args.format == "json":
         _emit_json({"certificate_status": verdict.status, "reports": [report.to_json() for _, _, report in runs]}, None)
+    elif args.out is None:
+        trajectory, lk, _ = runs[0]
+        export_csv(trajectory, sys.stdout, lk=lk)
 
     return EXIT_OK if all(report.decayed for _, _, report in runs) else EXIT_UNDECIDED
 

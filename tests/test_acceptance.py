@@ -10,6 +10,15 @@ import numpy as np
 import pytest
 
 from riccstab import acceptance, ddesim
+from riccstab.classes import (
+    CHAIN_3X3,
+    FAN_IN_3X3,
+    LAST_ROW_FORM,
+    METZLER_NONNEG,
+    STRUCTURED_TAGS,
+    classify,
+    feedback_condition,
+)
 from riccstab.matcore import BlockSymmetric
 from riccstab.riccati import CorrelationWitness, MatrixPair, Verdict, solve_diagonal
 
@@ -109,6 +118,46 @@ def test_signature_classes_at_seed_one():
         assert entry[name]["cases"] == 100
         assert entry[name]["mismatches"] == 0
     assert entry["passed"]
+
+
+def test_class_oracles_draw_only_pairs_of_their_generators_class(monkeypatch):
+    """evaluate_class would give a drawn pair of another class that class's
+    verdict without a word, so every pair the three class oracles draw at
+    seeds 0..3 must carry its generator's class. The draws do not depend on
+    the solver, which is stubbed out."""
+    drawn = {}
+    for name in (
+        "_metzler_pair",
+        "_chain_instance",
+        "_fan_in_instance",
+        "_rank_one_row_instance",
+        "_tridiag_instance",
+        "_last_row_instance",
+        "_superdiag_instance",
+    ):
+
+        def recording(*args, generator=getattr(acceptance, name), pairs=drawn.setdefault(name, [])):
+            pairs.append(generator(*args))
+            return pairs[-1]
+
+        monkeypatch.setattr(acceptance, name, recording)
+    monkeypatch.setattr(acceptance, "solve_diagonal", lambda pair: Verdict.unknown(-1.0))
+    for seed in range(4):
+        log = acceptance.WitnessLog()
+        acceptance.positive_oracle(seed, log)
+        acceptance.three_by_three_oracle(seed, log)
+        acceptance.signature_classes(seed, log)
+
+    assert {classify(pair).name for pair in drawn["_metzler_pair"]} == {METZLER_NONNEG}
+    for name in ("_rank_one_row_instance", "_tridiag_instance", "_last_row_instance", "_superdiag_instance"):
+        assert {classify(pair).name for pair in drawn[name]} <= set(STRUCTURED_TAGS), name
+    feedback_tags = set()
+    for name, shape in (("_chain_instance", CHAIN_3X3), ("_fan_in_instance", FAN_IN_3X3)):
+        assert {feedback_condition(pair).tag.name for pair in drawn[name]} == {shape}, name
+        feedback_tags |= {classify(pair).name for pair in drawn[name]}
+    # classify tags some feedback draws first, which is why they skip it
+    assert {METZLER_NONNEG, LAST_ROW_FORM} <= feedback_tags
+    assert all(len(pairs) >= 100 for pairs in drawn.values())
 
 
 def test_delay_decay_verifies_each_certificate_once(monkeypatch):

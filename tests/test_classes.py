@@ -12,19 +12,17 @@ from riccstab.classes import (
     LAST_ROW_FORM,
     METZLER_NONNEG,
     METZLER_RANK_ONE_ROW,
+    STRUCTURED_TAGS,
     SUPERDIAG_B,
     TRIDIAG_SIGN_SYM,
     UNSTRUCTURED,
     ClassTag,
     Stability,
-    chain_feedback_condition,
     classify,
     correlation_form_bound,
     correlation_form_bound_oracle,
     evaluate_class,
-    fan_in_feedback_condition,
-    metzler_nonneg_condition,
-    structured_condition,
+    feedback_condition,
 )
 from riccstab.errors import ClassMismatchError, ContractError, RiccstabError
 from riccstab.riccati import MatrixPair
@@ -47,6 +45,30 @@ def fan_in_pair(a, c, b):
     bmat = np.zeros((3, 3))
     bmat[0, 2], bmat[1, 2] = b
     return MatrixPair(amat, bmat)
+
+
+def chain_condition(a, c, b):
+    verdict = feedback_condition(chain_pair(a, c, b))
+    assert verdict.tag.name == CHAIN_3X3
+    return verdict
+
+
+def fan_in_condition(a, c, b):
+    verdict = feedback_condition(fan_in_pair(a, c, b))
+    assert verdict.tag.name == FAN_IN_3X3
+    return verdict
+
+
+def metzler_condition(pair):
+    verdict = evaluate_class(pair)
+    assert verdict.tag.name == METZLER_NONNEG
+    return verdict
+
+
+def signature_condition(pair):
+    verdict = evaluate_class(pair)
+    assert verdict.tag.name in STRUCTURED_TAGS
+    return verdict
 
 
 def test_classify_metzler_nonneg():
@@ -119,14 +141,14 @@ def test_hurwitz_verdict_against_eigenvalue_oracle():
 
 
 def test_metzler_condition_examples():
-    stable = metzler_nonneg_condition(MatrixPair([[-2.0, 1.0], [0.0, -2.0]], [[0.0, 0.0], [1.0, 0.0]]))
+    stable = metzler_condition(MatrixPair([[-2.0, 1.0], [0.0, -2.0]], [[0.0, 0.0], [1.0, 0.0]]))
     assert stable.stable is Stability.STABLE
     assert stable.condition_values["spectral_abscissa"] == pytest.approx(-1.0, abs=1e-9)
 
-    marginal = metzler_nonneg_condition(MatrixPair([[-1.0]], [[1.0]]))
+    marginal = metzler_condition(MatrixPair([[-1.0]], [[1.0]]))
     assert marginal.stable is Stability.MARGINAL
 
-    unstable = metzler_nonneg_condition(MatrixPair([[-1.0]], [[2.0]]))
+    unstable = metzler_condition(MatrixPair([[-1.0]], [[2.0]]))
     assert unstable.stable is Stability.NOT_STABLE
     assert unstable.condition_values["spectral_abscissa"] == pytest.approx(1.0, abs=1e-9)
 
@@ -145,14 +167,14 @@ def test_metzler_class_verdict_is_scale_invariant(shift, expected, n, c):
 
 def test_structured_rank_one_row_example():
     pair = MatrixPair(np.diag([-2.0, -2.0]), [[1.0, -1.0], [0.0, 0.0]])
-    verdict = structured_condition(pair)
+    verdict = signature_condition(pair)
     assert verdict.stable is Stability.STABLE
     assert verdict.condition_values["spectral_abscissa"] == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_structured_tridiagonal_example():
     pair = MatrixPair([[-3.0, -1.0], [-1.0, -3.0]], np.zeros((2, 2)))
-    verdict = structured_condition(pair)
+    verdict = signature_condition(pair)
     assert verdict.stable is Stability.STABLE
     assert verdict.condition_values["spectral_abscissa"] == pytest.approx(-2.0, abs=1e-9)
 
@@ -160,13 +182,13 @@ def test_structured_tridiagonal_example():
 def test_structured_last_row_mixed_signs_reduces_to_diagonal():
     a = np.diag([-1.0, -2.0, -3.0])
     a[2, :2] = (-4.0, 5.0)
-    verdict = structured_condition(MatrixPair(a, np.zeros((3, 3))))
+    verdict = signature_condition(MatrixPair(a, np.zeros((3, 3))))
     assert verdict.stable is Stability.STABLE
     assert verdict.condition_values["spectral_abscissa"] == pytest.approx(-1.0, abs=1e-9)
 
     a2 = a.copy()
     a2[0, 0] = 0.5
-    verdict2 = structured_condition(MatrixPair(a2, np.zeros((3, 3))))
+    verdict2 = signature_condition(MatrixPair(a2, np.zeros((3, 3))))
     assert verdict2.stable is Stability.NOT_STABLE
 
 
@@ -200,7 +222,7 @@ def test_signatures_solve_one_sided_and_negative_zero_entries():
     d, e = classes._signatures(a, b)
     assert np.array_equal(a * np.outer(d, d), metzler_envelope(a))
     assert np.array_equal(b * np.outer(d, e), np.abs(b))
-    assert structured_condition(pair).stable is Stability.STABLE
+    assert signature_condition(pair).stable is Stability.STABLE
 
 
 def test_incompatible_last_row_pair_is_not_last_row_form():
@@ -278,69 +300,83 @@ def test_a_wrong_signature_is_refused_naming_the_matrix(monkeypatch):
     d, e = classes._signatures(pair.a, pair.b)
     monkeypatch.setattr(classes, "_signatures", lambda a, b: (d * [1.0, -1.0], e))
     with pytest.raises(RiccstabError, match="on A"):
-        structured_condition(pair)
+        signature_condition(pair)
     monkeypatch.setattr(classes, "_signatures", lambda a, b: (d, -e))
     with pytest.raises(RiccstabError, match="on B"):
-        structured_condition(pair)
+        signature_condition(pair)
 
 
 def test_chain_condition_stable_example():
-    verdict = chain_feedback_condition(chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 0.1)))
+    verdict = chain_condition((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 0.1))
     assert verdict.stable is Stability.STABLE
     assert verdict.condition_values["tail_margin"] == pytest.approx(0.9)
     assert verdict.condition_values["determinant_margin"] == pytest.approx(0.8)
 
 
 def test_chain_condition_unstable_example():
-    verdict = chain_feedback_condition(chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (20.0, 0.1)))
+    verdict = chain_condition((-1.0, -1.0, -1.0), (1.0, 1.0), (20.0, 0.1))
     assert verdict.stable is Stability.NOT_STABLE
     assert verdict.condition_values["determinant_margin"] == pytest.approx(1.0 - 20.1)
 
 
 def test_chain_condition_zero_b_reduces_to_diagonal():
-    verdict = chain_feedback_condition(chain_pair((-0.5, -1.0, -2.0), (3.0, -2.5), (0.0, 0.0)))
+    verdict = chain_condition((-0.5, -1.0, -2.0), (3.0, -2.5), (0.0, 0.0))
     assert verdict.stable is Stability.STABLE
 
 
 def test_chain_condition_boundary_is_marginal():
-    verdict = chain_feedback_condition(chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (-0.5, 1.0)))
+    verdict = chain_condition((-1.0, -1.0, -1.0), (1.0, 1.0), (-0.5, 1.0))
     assert verdict.stable is Stability.MARGINAL
     assert verdict.condition_values["tail_margin"] == pytest.approx(0.0, abs=1e-12)
     assert verdict.condition_values["determinant_margin"] == pytest.approx(0.5)
 
 
 def test_chain_condition_definite_failure_beats_boundary():
-    verdict = chain_feedback_condition(chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 1.0)))
+    verdict = chain_condition((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 1.0))
     assert verdict.stable is Stability.NOT_STABLE
 
 
 def test_fan_in_condition_examples():
-    stable = fan_in_feedback_condition(fan_in_pair((-1.0, -1.0, -3.0), (1.0, 1.0), (1.0, 1.0)))
+    stable = fan_in_condition((-1.0, -1.0, -3.0), (1.0, 1.0), (1.0, 1.0))
     assert stable.stable is Stability.STABLE
     assert stable.condition_values["determinant_margin"] == pytest.approx(1.0)
 
-    boundary = fan_in_feedback_condition(fan_in_pair((-1.0, -1.0, -2.0), (1.0, 1.0), (1.0, 1.0)))
+    boundary = fan_in_condition((-1.0, -1.0, -2.0), (1.0, 1.0), (1.0, 1.0))
     assert boundary.stable is Stability.MARGINAL
     assert boundary.condition_values["determinant_margin"] == pytest.approx(0.0, abs=1e-12)
 
-    zero_b = fan_in_feedback_condition(fan_in_pair((-1.0, -2.0, -3.0), (2.0, -2.0), (0.0, 0.0)))
+    zero_b = fan_in_condition((-1.0, -2.0, -3.0), (2.0, -2.0), (0.0, 0.0))
     assert zero_b.stable is Stability.STABLE
 
 
 def test_feedback_conditions_decide_pairs_classify_tags_otherwise():
     # a nonnegative feedback loop is MetzlerNonneg to classify, and a chain
-    # without its first coupling, also a fan-in, is LastRowForm; each
-    # condition matches its own shape, not the tag
+    # without its first coupling, also a fan-in, is LastRowForm;
+    # feedback_condition matches the shape, not the tag
     metzler_chain = chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 0.1))
     metzler_fan_in = fan_in_pair((-1.0, -1.0, -3.0), (1.0, 1.0), (1.0, 1.0))
     assert classify(metzler_chain).name == classify(metzler_fan_in).name == METZLER_NONNEG
-    assert chain_feedback_condition(metzler_chain).tag.name == CHAIN_3X3
-    assert fan_in_feedback_condition(metzler_fan_in).tag.name == FAN_IN_3X3
+    assert feedback_condition(metzler_chain).tag.name == CHAIN_3X3
+    assert feedback_condition(metzler_fan_in).tag.name == FAN_IN_3X3
     both = chain_pair((-1.0, -1.0, -1.0), (0.0, -1.0), (0.1, -0.1))
     assert classify(both).name == LAST_ROW_FORM
-    chain, fan_in = chain_feedback_condition(both), fan_in_feedback_condition(both)
+    # the chain reading comes first; the fan-in reading of the same pair agrees
+    chain = feedback_condition(both)
+    assert chain.tag.name == CHAIN_3X3
+    assert chain == classes._chain_verdict(both, chain.tag)
+    a = both.a
+    fan_in_params = {"a": np.diag(a).tolist(), "c": [float(a[2, 0]), float(a[2, 1])], "b": both.b[:2, 2].tolist()}
+    fan_in = classes._fan_in_verdict(both, ClassTag(FAN_IN_3X3, fan_in_params))
     assert (chain.tag.params, chain.stable) == (fan_in.tag.params, fan_in.stable)
-    assert fan_in.tag.name == FAN_IN_3X3
+
+
+def test_feedback_condition_refuses_a_pair_of_neither_shape():
+    chain = chain_pair((-1.0, -1.0, -1.0), (1.0, 1.0), (0.1, 0.1))
+    b_on_the_diagonal = MatrixPair(chain.a, chain.b + np.diag([0.0, 0.0, 0.1]))
+    both_couplings = MatrixPair(chain.a + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), chain.b)
+    for pair in (ONE_PAIR_PER_TAG[METZLER_NONNEG], b_on_the_diagonal, both_couplings):
+        with pytest.raises(ClassMismatchError, match="3x3 feedback"):
+            feedback_condition(pair)
 
 
 def _last_row_pair():

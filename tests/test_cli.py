@@ -188,6 +188,31 @@ def test_simulate_refuses_delays_that_share_a_csv_file(tmp_path, capsys, taus, c
     assert sorted(p.name for p in tmp_path.iterdir()) == ["problem.json"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["classify"],
+        ["refute"],
+        ["transform"],
+        ["simulate", "--tau", "0,1", "--horizon", "1"],
+        ["simulate", "--tau", "1", "--horizon", "1", "--format", "csv"],
+        ["selftest"],
+    ],
+    ids=["check", "classify", "refute", "transform", "simulate-json", "simulate-csv", "selftest"],
+)
+def test_out_in_a_missing_directory_exits_one_naming_the_flag(tmp_path, capsys, monkeypatch, argv):
+    report = {"seed": 0, "criteria": {}, "all_passed": True}
+    monkeypatch.setattr(acceptance, "selftest", lambda seed: SelftestResult(report, {}, "{}", "{}"))
+    problem = [] if argv[0] == "selftest" else [write(tmp_path, dict(FEASIBLE, transform={"d": [2.0], "e": [1.0]}))]
+    out = str(tmp_path / "missing" / "out.csv")
+    code, stdout, err = run_main(capsys, argv[:1] + problem + argv[1:] + ["--out", out])
+    assert code == 1
+    assert stdout == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"riccstab: error: --out {tmp_path / 'missing'}")
+
+
 def test_simulate_reads_a_scalar_tau_from_the_problem_file(tmp_path, capsys):
     problem = write(tmp_path, {"A": [[-2.0]], "B": [[0.5]], "tau": 1})
     code, out, _ = run_main(capsys, ["simulate", problem, "--horizon", "20"])

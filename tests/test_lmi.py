@@ -12,7 +12,7 @@ from riccstab.acceptance import (
     _signature_conjugate,
     _strong_feasible_pair,
 )
-from riccstab.classes import Stability, chain_feedback_condition, fan_in_feedback_condition
+from riccstab.classes import Stability, feedback_condition
 from riccstab.lmi import _block, _chol, _newton_system, minimize
 from riccstab.matcore import spectral_abscissa
 from riccstab.riccati import MatrixPair, SolveOptions, Verdict, solve_diagonal
@@ -165,11 +165,11 @@ def _feasible_family(rng, per_kind=25):
         if spectral_abscissa(pair.a + pair.b) < -MARGIN_FILTER:
             kept += 1
             yield _signature_conjugate(rng, pair)
-    for generator, condition in ((_chain_instance, chain_feedback_condition), (_fan_in_instance, fan_in_feedback_condition)):
+    for generator in (_chain_instance, _fan_in_instance):
         kept = 0
         while kept < per_kind:
             pair = generator(rng)
-            verdict = condition(pair)
+            verdict = feedback_condition(pair)
             if verdict.stable is Stability.STABLE and min(map(abs, verdict.condition_values.values())) >= MARGIN_FILTER:
                 kept += 1
                 yield pair

@@ -31,7 +31,6 @@ PUBLIC_API = [
     "Stability",
     "Verdict",
     "block_lmi",
-    "chain_feedback_condition",
     "classify",
     "correlation_form_bound",
     "correlation_form_bound_oracle",
@@ -41,17 +40,15 @@ PUBLIC_API = [
     "dpd_conjugate",
     "evaluate_class",
     "export_csv",
-    "fan_in_feedback_condition",
+    "feedback_condition",
     "hadamard_congruence",
     "is_metzler",
     "is_nonnegative",
     "is_p_matrix",
     "lk_functional",
-    "metzler_nonneg_condition",
     "p_sign_witness",
     "simulate",
     "solve_diagonal",
-    "structured_condition",
     "verify_certificate",
 ]
 
